@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use moche_core::ks_statistic;
 use moche_data::dist::normal;
 use moche_data::rng::rng_from_seed;
-use moche_stream::{IncrementalKs, ObsId};
+use moche_stream::SlidingKs;
 use std::hint::black_box;
 
 fn stream_of(len: usize) -> Vec<f64> {
@@ -37,21 +37,17 @@ fn bench_incremental(c: &mut Criterion) {
 
         group.bench_with_input(BenchmarkId::new("incremental_treap", w), &w, |b, _| {
             b.iter(|| {
-                let mut iks = IncrementalKs::new();
-                let mut ref_ids: Vec<ObsId> =
-                    series[..w].iter().map(|&v| iks.insert_reference(v)).collect();
-                let mut test_ids: Vec<ObsId> =
-                    series[w..2 * w].iter().map(|&v| iks.insert_test(v)).collect();
-                let mut acc = iks.statistic().unwrap();
+                let mut ks = SlidingKs::new(w);
+                for &v in &series[..2 * w] {
+                    ks.push(v);
+                }
+                let mut acc = ks.statistic().unwrap();
                 for s in 0..slides {
                     // Promote the oldest test point to the reference side
-                    // and admit the next observation: two O(log w) slides.
-                    let promoted_value = series[w + s];
-                    let new_ref = iks.slide_reference(ref_ids.remove(0), promoted_value).unwrap();
-                    ref_ids.push(new_ref);
-                    let new_test = iks.slide_test(test_ids.remove(0), series[2 * w + s]).unwrap();
-                    test_ids.push(new_test);
-                    acc += iks.statistic().unwrap();
+                    // and admit the next observation: three O(log w)
+                    // weight updates in one treap.
+                    ks.push(series[2 * w + s]);
+                    acc += ks.statistic().unwrap();
                 }
                 black_box(acc)
             })

@@ -433,7 +433,7 @@ pub fn alarmed_monitor(w: usize) -> DriftMonitor {
 }
 
 /// One measured alarm iteration: slide once (a real alarm always follows
-/// a push, so the index re-materialization is honestly re-done), then
+/// a push, so the reference index is rebuilt from a changed window), then
 /// explain and recycle. Every slide promotes one shifted value into the
 /// reference window, so after ~`w` iterations the drift has fully
 /// traversed the pair and the KS test passes again; when that happens the
@@ -526,9 +526,9 @@ impl RebuildAlarmReplay {
 }
 
 /// The monitor's cost model, measured: the steady-state slide, the
-/// incremental alarm paths (explain and size-only — the "after" entries,
-/// 0 allocs once warm, each iteration sliding once so the index really
-/// re-materializes), and the [`RebuildAlarmReplay`] "before" entry.
+/// alarm paths (explain and size-only, 0 allocs once warm, each iteration
+/// sliding once so the alarm re-sorts a changed reference window), and
+/// the [`RebuildAlarmReplay`] entry with its allocating SR scoring.
 fn monitor_suite(w: usize, alloc_counter: Option<&dyn Fn() -> u64>) -> Vec<BenchRecord> {
     let mut records = Vec::new();
 

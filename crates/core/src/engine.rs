@@ -192,9 +192,7 @@ impl ExplainEngine {
     }
 
     /// [`explain`](Self::explain) against a precomputed [`RankSource`]
-    /// (canonically a [`ReferenceIndex`], or an
-    /// [`crate::ref_index::IncrementalRefIndex`]'s materialized view): the
-    /// per-window base vector is spliced into the source
+    /// (a [`ReferenceIndex`]): the per-window base vector is spliced into the source
     /// ([`BaseVector::build_with_index`]) instead of re-merging `R ∪ T`.
     /// This is the amortized path for one `R` against many windows.
     ///

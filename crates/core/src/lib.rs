@@ -84,7 +84,7 @@ pub use ks::{ks_statistic, ks_test, KsConfig, KsOutcome, ALPHA_EXISTENCE_GUARANT
 pub use moche::{ConstructionStrategy, Explanation, Moche, SizeSearchStrategy};
 pub use phase1::SizeSearch;
 pub use preference::PreferenceList;
-pub use ref_index::{IncrementalRefIndex, RankSource, ReferenceIndex};
+pub use ref_index::{RankSource, ReferenceIndex};
 pub use streaming::{
     StreamMode, StreamResult, StreamSummary, StreamingBatchExplainer, WindowReport, WindowSource,
 };

@@ -34,12 +34,11 @@ mod sealed {
 /// values and their cumulative rank counts, in the exact layout the
 /// base-vector splice ([`BaseVector::build_with_index`]) consumes.
 ///
-/// [`ReferenceIndex`] is the canonical implementation (built by sorting);
-/// [`IncrementalRefIndex::materialize`] produces the same view from an
-/// incrementally-maintained order-statistic structure without sorting.
-/// The trait is sealed: every implementation must be byte-identical to
-/// `ReferenceIndex::new` on the same multiset, a contract enforced by
-/// `tests/proptest_indexed.rs`.
+/// [`ReferenceIndex`] (built by sorting) is the one implementation; the
+/// splice is generic over the trait so the layout stays an implementation
+/// detail. The trait is sealed: an implementation must be byte-identical
+/// to `ReferenceIndex::new` on the same multiset, the contract
+/// `tests/proptest_indexed.rs` pins for the splice.
 pub trait RankSource: sealed::Sealed {
     /// Total reference size `n` (with multiplicities).
     fn n(&self) -> usize;
@@ -374,455 +373,6 @@ impl BaseVector {
     }
 }
 
-/// Treap arena index.
-type Idx = u32;
-const NIL: Idx = u32::MAX;
-
-/// One distinct key of the order-statistic multiset: a value (keyed by
-/// `total_cmp`, so `-0.0` and `0.0` are separate nodes until
-/// materialization collapses them like the sorted merge does) and its
-/// multiplicity.
-#[derive(Debug, Clone)]
-struct MultisetNode {
-    value: f64,
-    /// Live occurrences of this exact key (node is freed at 0).
-    count: u32,
-    priority: u64,
-    left: Idx,
-    right: Idx,
-}
-
-/// An incrementally-maintained [`RankSource`]: the reference side of a
-/// sliding-window monitor, updated in `O(log w)` per slide and
-/// materialized into a [`ReferenceIndex`] **without sorting** at alarm
-/// time.
-///
-/// [`ReferenceIndex::rebuild_from`] re-sorts the whole window on every
-/// alarm — `O(w log w)` even though consecutive alarms differ by a handful
-/// of slides. This structure keeps the order statistics live instead: a
-/// treap-backed multiset absorbs each slide as one [`remove`](Self::remove)
-/// plus one [`insert`](Self::insert) (`O(log w)` expected, allocation-free
-/// once warm thanks to a node free list), and
-/// [`materialize`](Self::materialize) walks it in order (`O(q_R)`, no
-/// comparison sort) to refill a cached [`ReferenceIndex`] the base-vector
-/// splice consumes unchanged. The materialized index is **byte-identical**
-/// to [`ReferenceIndex::new`] on the same multiset — including signed-zero
-/// representatives and duplicate collapsing — a property pinned by
-/// `tests/proptest_indexed.rs`.
-///
-/// # Examples
-///
-/// ```
-/// use moche_core::{IncrementalRefIndex, ReferenceIndex};
-///
-/// let mut live = IncrementalRefIndex::new();
-/// for v in [5.0, 1.0, 5.0, 3.0] {
-///     live.insert(v);
-/// }
-/// assert_eq!(live.materialize().unwrap(), &ReferenceIndex::new(&[5.0, 1.0, 5.0, 3.0]).unwrap());
-///
-/// // One window slide: O(log w), no sort anywhere.
-/// assert!(live.remove(1.0));
-/// live.insert(7.0);
-/// assert_eq!(live.materialize().unwrap(), &ReferenceIndex::new(&[5.0, 5.0, 3.0, 7.0]).unwrap());
-/// ```
-#[derive(Debug, Clone)]
-pub struct IncrementalRefIndex {
-    nodes: Vec<MultisetNode>,
-    free: Vec<Idx>,
-    root: Idx,
-    rng_state: u64,
-    /// Total size with multiplicities.
-    len: usize,
-    /// Scratch stack for the iterative in-order materialization walk.
-    traversal: Vec<Idx>,
-    /// The materialized view, refilled in place when stale.
-    cache: ReferenceIndex,
-    /// Whether `cache` reflects the current multiset.
-    stale: bool,
-    /// Updates since the cache was last exact, chronological. A short gap
-    /// re-materializes by *patching* the cached arrays (`O(q)` memmoves,
-    /// cache-friendly) instead of re-walking the whole tree.
-    pending: Vec<PendingDelta>,
-    /// Whether `cache` + `pending` still reconstructs the multiset. False
-    /// until the first full walk, or after `pending` overflows.
-    cache_synced: bool,
-}
-
-/// One recorded multiset update awaiting application to the cached view.
-#[derive(Debug, Clone, Copy)]
-struct PendingDelta {
-    value: f64,
-    /// `true` for an insert, `false` for a remove.
-    added: bool,
-}
-
-/// How many pending updates [`IncrementalRefIndex::materialize`] will
-/// patch into the cached arrays before falling back to the full in-order
-/// walk. Each patch is an `O(q)` sequential pass (a few µs at `q = 10k`);
-/// the walk is an `O(q)` *pointer-chasing* pass (hundreds of µs at the
-/// same size), so the break-even sits far above typical alarm gaps.
-const PATCH_LIMIT: usize = 64;
-
-impl Default for IncrementalRefIndex {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl IncrementalRefIndex {
-    /// Creates an empty multiset.
-    pub fn new() -> Self {
-        Self {
-            nodes: Vec::new(),
-            free: Vec::new(),
-            root: NIL,
-            rng_state: 0x5EED_0D15 | 1,
-            len: 0,
-            traversal: Vec::new(),
-            cache: ReferenceIndex { distinct: Vec::new(), cum_f64: Vec::new(), n: 0 },
-            stale: true,
-            pending: Vec::new(),
-            cache_synced: false,
-        }
-    }
-
-    /// An empty multiset with every internal buffer sized for `capacity`
-    /// elements, so a monitor holding at most `capacity` values never
-    /// allocates after construction — not even on a worst-case treap shape.
-    pub fn with_capacity(capacity: usize) -> Self {
-        let mut index = Self::new();
-        index.nodes.reserve(capacity);
-        index.free.reserve(capacity);
-        index.traversal.reserve(capacity);
-        index.cache.distinct.reserve(capacity + 1);
-        index.cache.cum_f64.reserve(capacity + 2);
-        index.pending.reserve(PATCH_LIMIT);
-        index
-    }
-
-    /// Total number of stored values, with multiplicities.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the multiset is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Empties the multiset, keeping every allocation for reuse.
-    pub fn clear(&mut self) {
-        self.nodes.clear();
-        self.free.clear();
-        self.root = NIL;
-        self.len = 0;
-        self.stale = true;
-        self.pending.clear();
-        self.cache_synced = false;
-    }
-
-    /// Records one update for the patch-based re-materialization, spilling
-    /// to "full walk needed" when the gap since the last materialization
-    /// grows past [`PATCH_LIMIT`].
-    fn record(&mut self, value: f64, added: bool) {
-        self.stale = true;
-        if self.cache_synced {
-            if self.pending.len() < PATCH_LIMIT {
-                self.pending.push(PendingDelta { value, added });
-            } else {
-                self.pending.clear();
-                self.cache_synced = false;
-            }
-        }
-    }
-
-    fn next_priority(&mut self) -> u64 {
-        // SplitMix64 (public domain, Steele et al.).
-        self.rng_state = self.rng_state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.rng_state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn alloc(&mut self, value: f64) -> Idx {
-        let priority = self.next_priority();
-        let node = MultisetNode { value, count: 1, priority, left: NIL, right: NIL };
-        if let Some(idx) = self.free.pop() {
-            self.nodes[idx as usize] = node;
-            idx
-        } else {
-            self.nodes.push(node);
-            (self.nodes.len() - 1) as Idx
-        }
-    }
-
-    /// Splits `t` into (< value, >= value) in `total_cmp` order.
-    fn split_lt(&mut self, t: Idx, value: f64) -> (Idx, Idx) {
-        if t == NIL {
-            return (NIL, NIL);
-        }
-        if self.nodes[t as usize].value.total_cmp(&value) == std::cmp::Ordering::Less {
-            let right = self.nodes[t as usize].right;
-            let (a, b) = self.split_lt(right, value);
-            self.nodes[t as usize].right = a;
-            (t, b)
-        } else {
-            let left = self.nodes[t as usize].left;
-            let (a, b) = self.split_lt(left, value);
-            self.nodes[t as usize].left = b;
-            (a, t)
-        }
-    }
-
-    /// Splits `t` into (<= value, > value) in `total_cmp` order.
-    fn split_le(&mut self, t: Idx, value: f64) -> (Idx, Idx) {
-        if t == NIL {
-            return (NIL, NIL);
-        }
-        if self.nodes[t as usize].value.total_cmp(&value) != std::cmp::Ordering::Greater {
-            let right = self.nodes[t as usize].right;
-            let (a, b) = self.split_le(right, value);
-            self.nodes[t as usize].right = a;
-            (t, b)
-        } else {
-            let left = self.nodes[t as usize].left;
-            let (a, b) = self.split_le(left, value);
-            self.nodes[t as usize].left = b;
-            (a, t)
-        }
-    }
-
-    fn merge(&mut self, a: Idx, b: Idx) -> Idx {
-        if a == NIL {
-            return b;
-        }
-        if b == NIL {
-            return a;
-        }
-        if self.nodes[a as usize].priority >= self.nodes[b as usize].priority {
-            let ar = self.nodes[a as usize].right;
-            let merged = self.merge(ar, b);
-            self.nodes[a as usize].right = merged;
-            a
-        } else {
-            let bl = self.nodes[b as usize].left;
-            let merged = self.merge(a, bl);
-            self.nodes[b as usize].left = merged;
-            b
-        }
-    }
-
-    /// Inserts one occurrence of `value`: `O(log w)` expected, and
-    /// allocation-free once the node arena has grown to the working set.
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-finite values (the multiset is left unchanged —
-    /// validation happens before any structural mutation).
-    pub fn insert(&mut self, value: f64) {
-        assert!(value.is_finite(), "reference values must be finite");
-        let root = self.root;
-        let (a, bc) = self.split_lt(root, value);
-        let (b, c) = self.split_le(bc, value);
-        let b = if b == NIL {
-            self.alloc(value)
-        } else {
-            debug_assert!(self.nodes[b as usize].value.total_cmp(&value).is_eq());
-            self.nodes[b as usize].count += 1;
-            b
-        };
-        let left = self.merge(a, b);
-        self.root = self.merge(left, c);
-        self.len += 1;
-        self.record(value, true);
-    }
-
-    /// Removes one occurrence of `value` (matched bit-exactly under
-    /// `total_cmp`, so `-0.0` only removes a stored `-0.0`). Returns
-    /// `false` — leaving the multiset unchanged — if the value is absent.
-    pub fn remove(&mut self, value: f64) -> bool {
-        let root = self.root;
-        let (a, bc) = self.split_lt(root, value);
-        let (b, c) = self.split_le(bc, value);
-        let found = b != NIL;
-        let b = if found {
-            let node = &mut self.nodes[b as usize];
-            node.count -= 1;
-            if node.count == 0 {
-                self.free.push(b);
-                NIL
-            } else {
-                b
-            }
-        } else {
-            NIL
-        };
-        let left = self.merge(a, b);
-        self.root = self.merge(left, c);
-        if found {
-            self.len -= 1;
-            self.record(value, false);
-        }
-        found
-    }
-
-    /// Live occurrences of the exact (`total_cmp`) key `value`: `O(log w)`.
-    fn count_of(&self, value: f64) -> u32 {
-        let mut cur = self.root;
-        while cur != NIL {
-            let node = &self.nodes[cur as usize];
-            match value.total_cmp(&node.value) {
-                std::cmp::Ordering::Less => cur = node.left,
-                std::cmp::Ordering::Greater => cur = node.right,
-                std::cmp::Ordering::Equal => return node.count,
-            }
-        }
-        0
-    }
-
-    /// Applies one recorded update to the cached arrays, preserving the
-    /// sorted-build semantics exactly: run counts via the cumulative plane,
-    /// and the duplicate-run *representative* (the first key in `total_cmp`
-    /// order — observable only for signed zeros) via an `O(log w)` treap
-    /// probe when a `-0.0` joins or leaves a zero run.
-    fn apply_delta(&mut self, delta: PendingDelta) {
-        let v = delta.value;
-        // Numeric comparison intentionally: ±0.0 share one run, and within
-        // the representative-ordered `distinct` array, numeric `<` finds
-        // the run for any probe bit pattern.
-        let pos = self.cache.distinct.partition_point(|&u| u < v);
-        if delta.added {
-            if pos < self.cache.distinct.len() && self.cache.distinct[pos] == v {
-                // Existing run: bump every later cumulative count...
-                for c in &mut self.cache.cum_f64[pos + 1..] {
-                    *c += 1.0;
-                }
-                // ...and adopt -0.0 as representative over 0.0.
-                if v.total_cmp(&self.cache.distinct[pos]).is_lt() {
-                    self.cache.distinct[pos] = v;
-                }
-            } else {
-                self.cache.distinct.insert(pos, v);
-                let below = self.cache.cum_f64[pos];
-                self.cache.cum_f64.insert(pos + 1, below + 1.0);
-                for c in &mut self.cache.cum_f64[pos + 2..] {
-                    *c += 1.0;
-                }
-            }
-        } else {
-            debug_assert!(
-                pos < self.cache.distinct.len() && self.cache.distinct[pos] == v,
-                "recorded removes name a live run"
-            );
-            let run = (self.cache.cum_f64[pos + 1] - self.cache.cum_f64[pos]) as u64;
-            if run <= 1 {
-                self.cache.distinct.remove(pos);
-                self.cache.cum_f64.remove(pos + 1);
-                for c in &mut self.cache.cum_f64[pos + 1..] {
-                    *c -= 1.0;
-                }
-            } else {
-                for c in &mut self.cache.cum_f64[pos + 1..] {
-                    *c -= 1.0;
-                }
-                // A -0.0 leaving a mixed zero run may hand the
-                // representative back to 0.0 (the treap — already fully
-                // updated — knows whether any -0.0 remains).
-                if v.to_bits() == (-0.0f64).to_bits()
-                    && self.cache.distinct[pos].to_bits() == (-0.0f64).to_bits()
-                    && self.count_of(-0.0) == 0
-                {
-                    self.cache.distinct[pos] = 0.0;
-                }
-            }
-        }
-    }
-
-    /// The current multiset as a [`ReferenceIndex`], byte-identical to
-    /// [`ReferenceIndex::new`] over the same values — with **no sort**
-    /// anywhere. Repeated calls between updates are `O(1)`; after a short
-    /// gap of `k` updates (up to the internal patch limit of 64) the
-    /// cached arrays are
-    /// *patched* in `O(k · q_R)` sequential passes (a handful of µs for a
-    /// one-slide alarm gap); a longer gap falls back to the `O(q_R)`
-    /// in-order tree walk. A warm structure materializes with zero heap
-    /// allocations either way.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MocheError::EmptyReference`] when the multiset is empty
-    /// (an empty reference has no valid index).
-    pub fn materialize(&mut self) -> Result<&ReferenceIndex, MocheError> {
-        if self.len == 0 {
-            return Err(MocheError::EmptyReference);
-        }
-        if self.stale {
-            if self.cache_synced {
-                // Chronological replay keeps intermediate states exact
-                // (a run deleted by one delta may be re-created by the
-                // next), so the patched arrays equal a fresh walk.
-                for i in 0..self.pending.len() {
-                    let delta = self.pending[i];
-                    self.apply_delta(delta);
-                }
-                self.pending.clear();
-                self.cache.n = self.len;
-            } else {
-                self.walk_into_cache();
-                self.cache_synced = true;
-            }
-            self.stale = false;
-        }
-        Ok(&self.cache)
-    }
-
-    /// Full re-materialization: the in-order treap walk, refilling the
-    /// cached arrays from scratch.
-    fn walk_into_cache(&mut self) {
-        let nodes = &self.nodes;
-        let cache = &mut self.cache;
-        let stack = &mut self.traversal;
-        cache.distinct.clear();
-        cache.cum_f64.clear();
-        cache.cum_f64.push(0.0f64);
-        stack.clear();
-        let mut total = 0u64;
-        let mut cur = self.root;
-        while cur != NIL || !stack.is_empty() {
-            while cur != NIL {
-                stack.push(cur);
-                cur = nodes[cur as usize].left;
-            }
-            // lint:allow(panic): the outer loop condition (`cur != NIL ||
-            // !stack.is_empty()`) plus the descent loop guarantee a frame
-            let node = &nodes[stack.pop().expect("stack non-empty") as usize];
-            total += u64::from(node.count);
-            match cache.distinct.last() {
-                // `total_cmp`-adjacent keys comparing equal (`-0.0`
-                // then `0.0`) collapse into one distinct run whose
-                // representative is the first key — exactly the merge
-                // rule of `ReferenceIndex::new`.
-                Some(&last) if last == node.value => {
-                    // lint:allow(panic): `distinct.last()` just matched Some,
-                    // and `cum_f64` grows in lockstep with `distinct`
-                    *cache.cum_f64.last_mut().expect("cum non-empty") = total as f64;
-                }
-                _ => {
-                    cache.distinct.push(node.value);
-                    cache.cum_f64.push(total as f64);
-                }
-            }
-            cur = node.right;
-        }
-        cache.n = total as usize;
-        self.pending.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -962,242 +512,6 @@ mod tests {
     fn index_rejects_bad_reference() {
         assert_eq!(ReferenceIndex::new(&[]).unwrap_err(), MocheError::EmptyReference);
         assert!(ReferenceIndex::new(&[1.0, f64::INFINITY]).is_err());
-    }
-
-    /// Bit-level equality, distinguishing `-0.0` from `0.0` where derived
-    /// `PartialEq` would not.
-    fn assert_bits_eq(a: &ReferenceIndex, b: &ReferenceIndex, ctx: &str) {
-        assert_eq!(a.n(), b.n(), "{ctx}: n");
-        assert_eq!(
-            a.distinct().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            b.distinct().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "{ctx}: distinct bits"
-        );
-        assert_eq!(a.cum_f64(), b.cum_f64(), "{ctx}: cumulative counts");
-    }
-
-    #[test]
-    fn incremental_matches_sorted_construction() {
-        let mut live = IncrementalRefIndex::new();
-        let values = [5.0, 1.0, 5.0, 3.0, 1.0, 1.0, -2.5, 5.0];
-        for (i, &v) in values.iter().enumerate() {
-            live.insert(v);
-            assert_eq!(live.len(), i + 1);
-            assert_bits_eq(
-                live.materialize().unwrap(),
-                &ReferenceIndex::new(&values[..=i]).unwrap(),
-                &format!("after {} inserts", i + 1),
-            );
-        }
-    }
-
-    #[test]
-    fn incremental_slides_match_rebuilds() {
-        // A sliding window over a repeating series: every slide is one
-        // remove + one insert, and the materialized index must equal a
-        // from-scratch sorted build of the window at every step.
-        let series: Vec<f64> = (0..120).map(|i| ((i * 29) % 13) as f64 * 0.5).collect();
-        let w = 30;
-        let mut live = IncrementalRefIndex::with_capacity(w);
-        for &v in &series[..w] {
-            live.insert(v);
-        }
-        for step in 0..(series.len() - w) {
-            assert!(live.remove(series[step]), "step {step}: oldest value present");
-            live.insert(series[step + w]);
-            assert_bits_eq(
-                live.materialize().unwrap(),
-                &ReferenceIndex::new(&series[step + 1..step + 1 + w]).unwrap(),
-                &format!("step {step}"),
-            );
-        }
-    }
-
-    #[test]
-    fn incremental_collapses_signed_zeros_like_the_sort() {
-        for values in [
-            vec![-0.0, 0.0, 1.0],
-            vec![0.0, -0.0, 1.0],
-            vec![0.0, 0.0, -0.0],
-            vec![-0.0, -0.0],
-            vec![1.0, 0.0, -1.0, -0.0, 0.0],
-        ] {
-            let mut live = IncrementalRefIndex::new();
-            for &v in &values {
-                live.insert(v);
-            }
-            assert_bits_eq(
-                live.materialize().unwrap(),
-                &ReferenceIndex::new(&values).unwrap(),
-                &format!("values {values:?}"),
-            );
-        }
-        // Removal is bit-exact: taking out the -0.0 leaves the 0.0 run.
-        let mut live = IncrementalRefIndex::new();
-        live.insert(-0.0);
-        live.insert(0.0);
-        assert!(live.remove(-0.0));
-        assert_bits_eq(live.materialize().unwrap(), &ReferenceIndex::new(&[0.0]).unwrap(), "0.0");
-    }
-
-    #[test]
-    fn incremental_remove_of_absent_value_is_a_clean_no_op() {
-        let mut live = IncrementalRefIndex::new();
-        live.insert(1.0);
-        live.insert(2.0);
-        assert!(!live.remove(3.0));
-        assert!(!live.remove(f64::NAN), "NaN is never stored");
-        assert!(!live.remove(-0.0), "only a positive zero would match bit-exactly");
-        assert_eq!(live.len(), 2);
-        assert_bits_eq(
-            live.materialize().unwrap(),
-            &ReferenceIndex::new(&[1.0, 2.0]).unwrap(),
-            "unchanged",
-        );
-    }
-
-    #[test]
-    fn incremental_empty_and_clear() {
-        let mut live = IncrementalRefIndex::new();
-        assert!(live.is_empty());
-        assert_eq!(live.materialize().unwrap_err(), MocheError::EmptyReference);
-        live.insert(4.0);
-        assert!(!live.is_empty());
-        live.clear();
-        assert!(live.is_empty());
-        assert_eq!(live.len(), 0);
-        assert_eq!(live.materialize().unwrap_err(), MocheError::EmptyReference);
-        // Reusable after a clear.
-        live.insert(7.0);
-        assert_bits_eq(live.materialize().unwrap(), &ReferenceIndex::new(&[7.0]).unwrap(), "reuse");
-    }
-
-    #[test]
-    #[should_panic(expected = "finite")]
-    fn incremental_insert_rejects_non_finite() {
-        IncrementalRefIndex::new().insert(f64::INFINITY);
-    }
-
-    #[test]
-    fn incremental_patches_and_walks_agree_across_gap_sizes() {
-        // Materialization has two paths — delta patching for short update
-        // gaps, the full in-order walk past PATCH_LIMIT — and both must be
-        // byte-identical to a sorted build at any gap size straddling the
-        // threshold.
-        let series: Vec<f64> = (0..600).map(|i| ((i * 31) % 47) as f64 * 0.5).collect();
-        let w = 120;
-        for gap in [1usize, 2, 7, PATCH_LIMIT - 1, PATCH_LIMIT, PATCH_LIMIT + 1, 3 * PATCH_LIMIT] {
-            let mut live = IncrementalRefIndex::with_capacity(w);
-            for &v in &series[..w] {
-                live.insert(v);
-            }
-            live.materialize().unwrap();
-            let mut step = 0;
-            while step + gap <= series.len() - w {
-                for _ in 0..gap {
-                    assert!(live.remove(series[step]));
-                    live.insert(series[step + w]);
-                    step += 1;
-                }
-                assert_bits_eq(
-                    live.materialize().unwrap(),
-                    &ReferenceIndex::new(&series[step..step + w]).unwrap(),
-                    &format!("gap {gap}, step {step}"),
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn incremental_patching_handles_signed_zero_representatives() {
-        // The patch path's only observable subtlety: the ±0.0 run's
-        // representative must flip exactly like a fresh sorted build's.
-        let mut live = IncrementalRefIndex::new();
-        live.insert(0.0);
-        live.insert(1.0);
-        live.materialize().unwrap(); // sync the cache, then patch from here
-        live.insert(-0.0); // -0.0 joins: representative flips to -0.0
-        assert_bits_eq(
-            live.materialize().unwrap(),
-            &ReferenceIndex::new(&[0.0, 1.0, -0.0]).unwrap(),
-            "after -0.0 joins",
-        );
-        assert!(live.remove(-0.0)); // last -0.0 leaves: back to 0.0
-        assert_bits_eq(
-            live.materialize().unwrap(),
-            &ReferenceIndex::new(&[0.0, 1.0]).unwrap(),
-            "after -0.0 leaves",
-        );
-        // Mixed run keeps -0.0 while one of two -0.0s remains.
-        live.insert(-0.0);
-        live.insert(-0.0);
-        live.materialize().unwrap();
-        assert!(live.remove(-0.0));
-        assert_bits_eq(
-            live.materialize().unwrap(),
-            &ReferenceIndex::new(&[0.0, 1.0, -0.0]).unwrap(),
-            "one -0.0 still present",
-        );
-        // Remove-then-reinsert of a whole run inside one patch gap.
-        assert!(live.remove(1.0));
-        live.insert(1.0);
-        live.insert(2.0);
-        assert_bits_eq(
-            live.materialize().unwrap(),
-            &ReferenceIndex::new(&[0.0, 1.0, -0.0, 2.0]).unwrap(),
-            "run deleted and re-created in one gap",
-        );
-    }
-
-    #[test]
-    fn incremental_is_allocation_stable_once_warm() {
-        // Slide a window long enough to reach the working set, then check
-        // that further slides + materializations never grow any buffer.
-        let series: Vec<f64> = (0..300).map(|i| ((i * 17) % 23) as f64).collect();
-        let w = 40;
-        let mut live = IncrementalRefIndex::with_capacity(w);
-        for &v in &series[..w] {
-            live.insert(v);
-        }
-        for step in 0..100 {
-            assert!(live.remove(series[step]));
-            live.insert(series[step + w]);
-            live.materialize().unwrap();
-        }
-        let caps = (
-            live.nodes.capacity(),
-            live.free.capacity(),
-            live.traversal.capacity(),
-            live.cache.distinct.capacity(),
-            live.cache.cum_f64.capacity(),
-        );
-        for step in 100..(series.len() - w) {
-            assert!(live.remove(series[step]));
-            live.insert(series[step + w]);
-            live.materialize().unwrap();
-        }
-        let after = (
-            live.nodes.capacity(),
-            live.free.capacity(),
-            live.traversal.capacity(),
-            live.cache.distinct.capacity(),
-            live.cache.cum_f64.capacity(),
-        );
-        assert_eq!(caps, after, "warm slides must not grow any internal buffer");
-    }
-
-    #[test]
-    fn incremental_index_feeds_the_splice() {
-        // The materialized view is a first-class RankSource: the splice
-        // consumes it exactly like a sorted-construction index.
-        let r = vec![1.0, 1.0, 3.0, 5.0, 5.0, 5.0, 9.0];
-        let t = vec![0.0, 1.0, 4.0, 5.0, 12.0];
-        let mut live = IncrementalRefIndex::new();
-        for &v in &r {
-            live.insert(v);
-        }
-        let via_live = BaseVector::build_with_index(live.materialize().unwrap(), &t).unwrap();
-        assert_eq!(via_live, BaseVector::build(&r, &t).unwrap());
     }
 
     #[test]

@@ -9,8 +9,8 @@ use moche_core::ks::KsConfig;
 use moche_core::moche::{ConstructionStrategy, Moche};
 use moche_core::preference::PreferenceList;
 use moche_core::{
-    ExplainEngine, ExplanationArena, IncrementalRefIndex, ReferenceIndex, SortedReference,
-    StreamMode, StreamingBatchExplainer, WindowReport,
+    ExplainEngine, ExplanationArena, ReferenceIndex, SortedReference, StreamMode,
+    StreamingBatchExplainer, WindowReport,
 };
 use proptest::prelude::*;
 
@@ -211,144 +211,6 @@ proptest! {
                 (Err(a), Err(b)) => prop_assert_eq!(a, b),
                 other => prop_assert!(false, "size divergence: {:?}", other),
             }
-        }
-    }
-}
-
-/// One edit of the incrementally-maintained reference multiset.
-#[derive(Debug, Clone, Copy)]
-enum IndexOp {
-    /// Insert a fresh value.
-    Insert(f64),
-    /// Remove the live value at this (mod-len) position.
-    Remove(usize),
-    /// One window slide: remove at a position, insert a value.
-    Slide(usize, f64),
-}
-
-/// Values stressing the index's edge cases: duplicates (coarse integer
-/// grid), signed zeros, and near-eps neighbors straddling `f64` rounding.
-fn index_value() -> impl Strategy<Value = f64> {
-    prop_oneof![
-        (0i32..10).prop_map(f64::from),
-        (0i32..10).prop_map(f64::from),
-        Just(0.0),
-        Just(-0.0),
-        (0i32..4).prop_map(|k| f64::from(k) * 1e-12),
-        (0i32..4).prop_map(|k| 1.0 + f64::from(k) * f64::EPSILON),
-        (-6i32..6).prop_map(|v| f64::from(v) * 0.25),
-    ]
-}
-
-fn index_op() -> impl Strategy<Value = IndexOp> {
-    prop_oneof![
-        index_value().prop_map(IndexOp::Insert),
-        index_value().prop_map(IndexOp::Insert),
-        (0usize..256).prop_map(IndexOp::Remove),
-        ((0usize..256), index_value()).prop_map(|(i, v)| IndexOp::Slide(i, v)),
-        ((0usize..256), index_value()).prop_map(|(i, v)| IndexOp::Slide(i, v)),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    // The monitor-alarm invariant: after ANY sequence of inserts, removes
-    // and slides, the incrementally-maintained index materializes
-    // byte-identically to a from-scratch sorted `ReferenceIndex::new` over
-    // the same live multiset — signed-zero representatives included.
-    // `check_every` spaces the materializations out, so both re-sync paths
-    // are exercised: short gaps patch the cached arrays delta-by-delta,
-    // long gaps (a slide is two deltas, so ~40 unchecked ops overflow the
-    // patch limit) fall back to the full in-order walk.
-    #[test]
-    fn incremental_index_is_byte_identical_to_sorted_builds(
-        seed in proptest::collection::vec(index_value(), 1..12),
-        ops in proptest::collection::vec(index_op(), 0..80),
-        check_every in 1usize..50,
-    ) {
-        let mut live = IncrementalRefIndex::new();
-        let mut window: Vec<f64> = Vec::new();
-        for &v in &seed {
-            live.insert(v);
-            window.push(v);
-        }
-        let check = |live: &mut IncrementalRefIndex, window: &[f64], ctx: &str| {
-            if window.is_empty() {
-                prop_assert!(live.is_empty());
-                prop_assert!(live.materialize().is_err());
-                return Ok(());
-            }
-            let expected = ReferenceIndex::new(window).unwrap();
-            let got = live.materialize().unwrap();
-            prop_assert_eq!(got, &expected, "{}", ctx);
-            // PartialEq on f64 treats -0.0 == 0.0; pin the raw bits.
-            let bits = |vs: &[f64]| vs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(
-                bits(got.distinct()),
-                bits(expected.distinct()),
-                "distinct bits: {}",
-                ctx
-            );
-            prop_assert_eq!(got.n(), window.len(), "{}", ctx);
-            Ok(())
-        };
-        check(&mut live, &window, "after seed")?;
-        for (step, op) in ops.into_iter().enumerate() {
-            match op {
-                IndexOp::Insert(v) => {
-                    live.insert(v);
-                    window.push(v);
-                }
-                IndexOp::Remove(pos) => {
-                    if !window.is_empty() {
-                        let v = window.swap_remove(pos % window.len());
-                        prop_assert!(live.remove(v), "live value must be removable");
-                    }
-                }
-                IndexOp::Slide(pos, v) => {
-                    if !window.is_empty() {
-                        let old = window.swap_remove(pos % window.len());
-                        prop_assert!(live.remove(old));
-                    }
-                    live.insert(v);
-                    window.push(v);
-                }
-            }
-            if step % check_every == check_every - 1 {
-                check(&mut live, &window, &format!("step {step}"))?;
-            }
-        }
-        check(&mut live, &window, "after the full op sequence")?;
-        // And the materialized view feeds the splice like a sorted index.
-        if !window.is_empty() {
-            let test = [0.5, 2.0, 2.0, -0.0, 9.5];
-            let via_live = BaseVector::build_with_index(live.materialize().unwrap(), &test[..]);
-            let merged = BaseVector::build(&window, &test[..]);
-            prop_assert_eq!(via_live.unwrap(), merged.unwrap());
-        }
-    }
-
-    // Sliding-window shape (the monitor's exact usage): FIFO slides over a
-    // random series, checked against from-scratch builds at every step.
-    #[test]
-    fn incremental_index_tracks_a_sliding_window(
-        series in proptest::collection::vec(index_value(), 24..120),
-        w in 4usize..16,
-    ) {
-        let w = w.min(series.len() / 2);
-        let mut live = IncrementalRefIndex::with_capacity(w);
-        for &v in &series[..w] {
-            live.insert(v);
-        }
-        for step in 0..(series.len() - w) {
-            prop_assert!(live.remove(series[step]));
-            live.insert(series[step + w]);
-            let expected = ReferenceIndex::new(&series[step + 1..step + 1 + w]).unwrap();
-            let got = live.materialize().unwrap();
-            prop_assert_eq!(got, &expected, "step {}", step);
-            let bits = |vs: &[f64]| vs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(bits(got.distinct()), bits(expected.distinct()), "step {}", step);
         }
     }
 }

@@ -6,7 +6,8 @@
 //! fleet scale that second half is the expensive one, and it is idle
 //! except while answering an alarm — so the fleet keeps exactly one
 //! [`MonitorScratch`] per shard and slab-stores only the lean per-series
-//! [`MonitorState`]s (`O(w)` each: windows + treaps + counters).
+//! [`MonitorState`]s (`O(w)` each: one window ring, one KS treap, and
+//! counters).
 //!
 //! ## Sharding
 //!
@@ -40,10 +41,12 @@
 //! lifts to the fleet: a resumed fleet raises the same alarms the
 //! uninterrupted one would have.
 
-use crate::monitor::{MonitorConfig, MonitorEvent, MonitorScratch, MonitorState, WindowCapture};
+use crate::monitor::{
+    AlarmAnswer, AlarmJob, MonitorConfig, MonitorEvent, MonitorScratch, MonitorState, WindowCapture,
+};
 use crate::snapshot::{crc32, write_bytes_atomic, MonitorSnapshot, SnapshotError};
 use moche_core::fault::{self, Fault};
-use moche_core::{Explanation, KsConfig, KsOutcome, MocheError, ReferenceIndex, SizeSearch};
+use moche_core::{Explanation, KsConfig, KsOutcome, MocheError, SizeSearch};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -328,9 +331,6 @@ pub struct FleetShard {
     pending: VecDeque<PendingExplain>,
     /// Recycled capture buffers (bounded by the queue depth + 1).
     capture_pool: Vec<WindowCapture>,
-    /// Rebuildable reference index + sort scratch for deferred explains.
-    ref_index: Option<ReferenceIndex>,
-    sort_scratch: Vec<f64>,
     stats: Arc<FleetStats>,
     /// Observations accepted by this shard (drives the checkpoint cadence
     /// without touching the shared atomics).
@@ -348,8 +348,6 @@ impl FleetShard {
             scratch: MonitorScratch::with_config(ks_cfg),
             pending: VecDeque::new(),
             capture_pool: Vec::new(),
-            ref_index: None,
-            sort_scratch: Vec::new(),
             stats,
             accepted: 0,
         }
@@ -503,35 +501,16 @@ impl FleetShard {
         while answered < budget {
             let Some(ticket) = self.pending.pop_front() else { break };
             let PendingExplain { series, at_push, outcome, capture } = ticket;
-            let index_ok = match self.ref_index.as_mut() {
-                Some(index) => {
-                    index.rebuild_from(&capture.reference, &mut self.sort_scratch).is_ok()
-                }
-                None => match ReferenceIndex::new(&capture.reference) {
-                    Ok(index) => {
-                        self.ref_index = Some(index);
-                        true
-                    }
-                    Err(_) => false,
-                },
-            };
-            let (explanation, size, degraded) = if !index_ok {
-                (None, None, false)
-            } else {
-                // lint:allow(panic): `index_ok` is only true after the branch
-                // above stored `Some(index)`
-                let index = self.ref_index.as_ref().expect("just built");
-                if self.cfg.monitor.size_only {
-                    (None, self.scratch.size_deferred(index, &capture.test), false)
-                } else if self.cfg.monitor.explain_on_drift {
-                    let sr = self.cfg.monitor.spectral_residual();
-                    let (explanation, degraded) =
-                        self.scratch.explain_deferred(&sr, index, &capture.test);
-                    (explanation, None, degraded)
-                } else {
-                    (None, None, false)
-                }
-            };
+            let AlarmAnswer { explanation, size, degraded } =
+                match AlarmJob::for_config(&self.cfg.monitor) {
+                    Some(job) => self.scratch.answer(
+                        job,
+                        &self.cfg.monitor.spectral_residual(),
+                        &capture.reference,
+                        &capture.test,
+                    ),
+                    None => AlarmAnswer::default(),
+                };
             if degraded {
                 // lint:allow(relaxed): monotonic stats counter; no cross-thread handoff rides on it
                 self.stats.degraded_preferences.fetch_add(1, Ordering::Relaxed);
@@ -1214,6 +1193,53 @@ mod tests {
         assert_eq!(view.skipped_observations, 2);
         assert_eq!(view.accepted, 1);
         assert_eq!(fleet.series_stats(5).unwrap().pushes, 1);
+    }
+
+    #[test]
+    fn signed_zeros_alarm_exactly_like_a_batch_replay() {
+        // Series 1 streams only signed zeros, eight -0.0 then eight 0.0
+        // in turn (one tied value: never an alarm); series 2 alternates
+        // such stretches with level shifts. Every fleet alarm
+        // must sit exactly where a from-scratch ks_test replay of the last
+        // 2w values since the last reset rejects.
+        let cfg = fleet_cfg(2, 8);
+        let w = cfg.monitor.window;
+        let ks_cfg = KsConfig::new(cfg.monitor.alpha).unwrap();
+        let mut fleet = MonitorFleet::new(cfg).unwrap();
+        let value = |series: u64, i: usize| match (series, (i / 40) % 2) {
+            (1, _) | (_, 0) => {
+                if (i / 8).is_multiple_of(2) {
+                    -0.0
+                } else {
+                    0.0
+                }
+            }
+            _ => (i % 5) as f64,
+        };
+        for series in [1u64, 2] {
+            let mut since_reset: Vec<f64> = Vec::new();
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            for i in 0..320usize {
+                let x = value(series, i);
+                if let FleetPush::Alarm { .. } = fleet.push(series, x).unwrap() {
+                    got.push(i);
+                }
+                since_reset.push(x);
+                let n = since_reset.len();
+                if n >= 2 * w {
+                    let window = &since_reset[n - 2 * w..];
+                    if moche_core::ks_test(&window[..w], &window[w..], &ks_cfg).unwrap().rejected {
+                        want.push(i);
+                        since_reset.clear(); // reset_on_drift is on
+                    }
+                }
+            }
+            assert_eq!(got, want, "series {series}");
+            assert_eq!(want.is_empty(), series == 1, "series {series}");
+        }
+        fleet.drain_explains(usize::MAX, |alarm| {
+            assert!(alarm.explanation.is_some_and(|e| e.outcome_after.passes()));
+        });
     }
 
     impl MonitorFleet {

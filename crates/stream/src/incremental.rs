@@ -1,250 +1,190 @@
-//! The incremental two-sample Kolmogorov-Smirnov test.
+//! The incremental two-sample Kolmogorov-Smirnov test over paired sliding
+//! windows.
 //!
-//! Maintains the KS statistic between a reference multiset `R` and a test
-//! multiset `T` under point insertions and removals on *both* sides, in
-//! `O(log N)` expected time per update — the primitive a deployed drift
-//! monitor needs (each window slide is a handful of updates instead of a
-//! full `O(N log N)` recomputation).
+//! The paper's streaming deployment (Section 6.1.1) tests the last `w`
+//! observations (the test window) against the `w` before them (the
+//! reference window). [`SlidingKs`] keeps exactly that: one ring of the
+//! last `2w` raw observations and one [`WeightedTreap`] over their values,
+//! so the KS decision on every push costs `O(log w)` instead of a full
+//! `O(w log w)` recomputation.
 //!
 //! ### How
 //!
-//! Give each reference observation weight `+m` and each test observation
-//! weight `-n` in a single ordered structure (a [`WeightedTreap`]). The
-//! prefix sum at sorted position `x` is then
+//! Give each reference observation weight `+1` and each test observation
+//! weight `-1` in the treap. With both windows full (`n = m = w`), the
+//! prefix sum at sorted position `x` is
 //!
 //! ```text
-//! m·|{r <= x}| - n·|{t <= x}| = n·m·(F_R(x) - F_T(x))
+//! |{r <= x}| - |{t <= x}| = w·(F_R(x) - F_T(x))
 //! ```
 //!
-//! so `D = max_x |prefix(x)| / (n·m)`, which the treap's aggregates expose
-//! at the root. Because the weights bake in the *current* sizes `n` and
-//! `m`, the structure is built for a fixed `(n, m)` pair — exactly the
-//! paired fixed-width sliding windows of the paper's Section 6.1.1. Updates
-//! that keep the sizes constant (slide = one removal + one insertion per
-//! side) are `O(log N)`; changing the sizes triggers a transparent
-//! `O(N log N)` rebuild, amortized away in steady state.
+//! so `D = max_x |prefix(x)| / w`, read at the treap root. One slide is
+//! three weight updates: the oldest reference point leaves (`-1`), the
+//! oldest test point is promoted to the reference window (`-1 → +1`), and
+//! the new observation enters the test window (`-1`). While the windows
+//! fill, pushes only append to the ring; the push that fills them builds
+//! the treap in one sort and a linear pass.
+//!
+//! The treap is keyed by `value + 0.0`, which maps `-0.0` onto `0.0`: the
+//! batch statistic ([`moche_core::ks_statistic`]) treats the two zeros as
+//! one tied value, and so must the prefix sums. The ring keeps the raw
+//! values, so window contents, snapshots and explanations see the
+//! observations exactly as pushed.
 
 use crate::treap::WeightedTreap;
-use moche_core::{KsConfig, KsOutcome, MocheError};
+use moche_core::{KsConfig, KsOutcome};
+use std::collections::VecDeque;
 
-/// Incrementally maintained two-sample KS test.
+/// Paired sliding windows of width `w` with an `O(log w)` KS statistic.
+///
+/// The first `w` observations pushed fill the reference window, the next
+/// `w` the test window; every later push slides both windows by one.
 ///
 /// # Examples
 ///
 /// ```
-/// use moche_stream::IncrementalKs;
+/// use moche_stream::SlidingKs;
 ///
-/// let mut iks = IncrementalKs::new();
-/// for i in 0..50 {
-///     iks.insert_reference(f64::from(i % 10));
+/// let mut ks = SlidingKs::new(50);
+/// for i in 0..100 {
+///     ks.push(f64::from(i % 10));
 /// }
-/// let mut handles: Vec<_> =
-///     (0..50).map(|i| iks.insert_test(f64::from(i % 10))).collect();
-/// assert_eq!(iks.statistic().unwrap(), 0.0); // identical distributions
+/// assert_eq!(ks.statistic(), Some(0.0)); // identical distributions
 ///
-/// // Slide one test observation to an outlying value: O(log N).
-/// handles[0] = iks.slide_test(handles[0], 99.0).unwrap();
-/// assert!(iks.statistic().unwrap() > 0.0);
+/// // One outlying observation slides in: O(log w).
+/// ks.push(99.0);
+/// assert!(ks.statistic().unwrap() > 0.0);
 /// ```
 #[derive(Debug, Clone)]
-pub struct IncrementalKs {
+pub struct SlidingKs {
+    window: usize,
+    /// The last `≤ 2w` raw observations, oldest first: `[..w]` is the
+    /// reference window, `[w..]` the test window.
+    ring: VecDeque<f64>,
+    /// `+1` per reference and `-1` per test observation, keyed by the
+    /// canonical value (see the module docs); empty until the ring is full.
     treap: WeightedTreap,
-    /// Live reference elements as (value, uid).
-    reference: Vec<(f64, u64)>,
-    /// Live test elements as (value, uid).
-    test: Vec<(f64, u64)>,
-    next_uid: u64,
-    /// The (n, m) the current weights encode.
-    built_n: usize,
-    built_m: usize,
-    dirty: bool,
 }
 
-/// A handle to an observation inside the incremental structure, returned by
-/// the insert methods and accepted by the remove methods.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ObsId(u64);
-
-impl Default for IncrementalKs {
-    fn default() -> Self {
-        Self::new()
-    }
+/// The treap key of an observation: `-0.0` and `0.0` tie, as in the batch
+/// statistic.
+#[inline]
+fn key(value: f64) -> f64 {
+    value + 0.0
 }
 
-impl IncrementalKs {
-    /// Creates an empty structure.
-    pub fn new() -> Self {
+impl SlidingKs {
+    /// Empty windows of width `window`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` is zero.
+    pub fn new(window: usize) -> Self {
+        assert!(window > 0, "sliding windows need at least one point each");
         Self {
+            window,
+            ring: VecDeque::with_capacity(2 * window),
             treap: WeightedTreap::new(0x1C5B),
-            reference: Vec::new(),
-            test: Vec::new(),
-            next_uid: 0,
-            built_n: 0,
-            built_m: 0,
-            dirty: true,
         }
     }
 
-    /// Number of reference observations.
-    pub fn n(&self) -> usize {
-        self.reference.len()
+    /// Observations currently held (at most `2w`).
+    pub fn len(&self) -> usize {
+        self.ring.len()
     }
 
-    /// Number of test observations.
-    pub fn m(&self) -> usize {
-        self.test.len()
+    /// Whether no observation is held.
+    pub fn is_empty(&self) -> bool {
+        self.ring.is_empty()
     }
 
-    /// Inserts a reference observation. Changing `n` invalidates the baked
-    /// weights, so the next [`statistic`](Self::statistic) call rebuilds;
-    /// use [`slide_reference`](Self::slide_reference) for the `O(log N)`
-    /// constant-size path.
+    /// Whether both windows are full, i.e. a KS decision is available.
+    pub fn is_full(&self) -> bool {
+        self.ring.len() == 2 * self.window
+    }
+
+    /// Admits one observation: fills the reference window, then the test
+    /// window, then slides both. `O(1)` while filling, `O(w log w)` for the
+    /// push that fills the windows, `O(log w)` expected per slide.
     ///
     /// # Panics
     ///
-    /// Panics on non-finite values.
-    pub fn insert_reference(&mut self, value: f64) -> ObsId {
+    /// Panics on non-finite values (the windows are left unchanged).
+    pub fn push(&mut self, value: f64) {
         assert!(value.is_finite(), "observations must be finite");
-        let uid = self.next_uid;
-        self.next_uid += 1;
-        self.reference.push((value, uid));
-        self.dirty = true;
-        ObsId(uid)
-    }
-
-    /// Inserts a test observation (see [`insert_reference`](Self::insert_reference)
-    /// about rebuilds).
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-finite values.
-    pub fn insert_test(&mut self, value: f64) -> ObsId {
-        assert!(value.is_finite(), "observations must be finite");
-        let uid = self.next_uid;
-        self.next_uid += 1;
-        self.test.push((value, uid));
-        self.dirty = true;
-        ObsId(uid)
-    }
-
-    /// Removes a reference observation by handle. Returns `false` if the
-    /// handle is unknown (already removed or from the other side).
-    pub fn remove_reference(&mut self, id: ObsId) -> bool {
-        let Some(pos) = self.reference.iter().position(|&(_, uid)| uid == id.0) else {
-            return false;
-        };
-        self.reference.swap_remove(pos);
-        self.dirty = true;
-        true
-    }
-
-    /// Removes a test observation by handle.
-    pub fn remove_test(&mut self, id: ObsId) -> bool {
-        let Some(pos) = self.test.iter().position(|&(_, uid)| uid == id.0) else {
-            return false;
-        };
-        self.test.swap_remove(pos);
-        self.dirty = true;
-        true
-    }
-
-    /// Replaces one test observation with another **keeping `m` constant**
-    /// — the steady-state sliding operation; `O(log N)` with no rebuild.
-    ///
-    /// Returns the new handle, or an error-like `None` if the old handle is
-    /// unknown.
-    pub fn slide_test(&mut self, old: ObsId, new_value: f64) -> Option<ObsId> {
-        assert!(new_value.is_finite(), "observations must be finite");
-        let pos = self.test.iter().position(|&(_, uid)| uid == old.0)?;
-        let (old_value, _) = self.test[pos];
-        let uid = self.next_uid;
-        self.next_uid += 1;
-        self.test[pos] = (new_value, uid);
-        if !self.dirty {
-            let n = self.built_n as i64;
-            self.treap.update(old_value, n, -1); // undo the old -n element
-            self.treap.update(new_value, -n, 1);
+        if !self.is_full() {
+            self.ring.push_back(value);
+            if self.is_full() {
+                self.build_treap();
+            }
+            return;
         }
-        Some(ObsId(uid))
+        let w = self.window;
+        if let Some(oldest) = self.ring.pop_front() {
+            // After the pop, the oldest test point sits at index w - 1.
+            let promoted = self.ring[w - 1];
+            self.treap.update(key(oldest), -1, -1);
+            self.treap.update(key(promoted), 2, 0);
+            self.treap.update(key(value), -1, 1);
+        }
+        self.ring.push_back(value);
     }
 
-    /// Replaces one reference observation with another keeping `n`
-    /// constant; `O(log N)`.
-    pub fn slide_reference(&mut self, old: ObsId, new_value: f64) -> Option<ObsId> {
-        assert!(new_value.is_finite(), "observations must be finite");
-        let pos = self.reference.iter().position(|&(_, uid)| uid == old.0)?;
-        let (old_value, _) = self.reference[pos];
-        let uid = self.next_uid;
-        self.next_uid += 1;
-        self.reference[pos] = (new_value, uid);
-        if !self.dirty {
-            let m = self.built_m as i64;
-            self.treap.update(old_value, -m, -1); // undo the old +m element
-            self.treap.update(new_value, m, 1);
-        }
-        Some(ObsId(uid))
+    /// Builds the treap over the full ring: one sort, one linear pass.
+    fn build_treap(&mut self) {
+        let w = self.window;
+        let mut items: Vec<(f64, i64)> = self
+            .ring
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (key(v), if i < w { 1 } else { -1 }))
+            .collect();
+        items.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        self.treap.rebuild_sorted(&items);
     }
 
-    fn rebuild(&mut self) {
-        let n = self.reference.len() as i64;
-        let m = self.test.len() as i64;
-        self.treap = WeightedTreap::new(0x1C5B ^ self.next_uid);
-        for &(value, _) in &self.reference {
-            self.treap.update(value, m, 1);
-        }
-        for &(value, _) in &self.test {
-            self.treap.update(value, -n, 1);
-        }
-        self.built_n = self.reference.len();
-        self.built_m = self.test.len();
-        self.dirty = false;
+    /// Empties both windows, keeping every allocation for reuse.
+    pub fn clear(&mut self) {
+        self.ring.clear();
+        self.treap.clear();
     }
 
-    /// The current KS statistic `D(R, T)`. Rebuilds lazily if sizes changed
-    /// since the last evaluation.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if either side is empty.
-    pub fn statistic(&mut self) -> Result<f64, MocheError> {
-        if self.reference.is_empty() {
-            return Err(MocheError::EmptyReference);
-        }
-        if self.test.is_empty() {
-            return Err(MocheError::EmptyTest);
-        }
-        if self.dirty || self.built_n != self.reference.len() || self.built_m != self.test.len() {
-            self.rebuild();
-        }
-        let nm = (self.built_n as f64) * (self.built_m as f64);
-        Ok(self.treap.max_abs_prefix() as f64 / nm)
+    /// The KS statistic `D(R, T)`, or `None` until both windows are full:
+    /// the integer `k = max_x |#{r <= x} - #{t <= x}|` divided by `w`,
+    /// rounded once.
+    pub fn statistic(&self) -> Option<f64> {
+        self.is_full().then(|| self.treap.max_abs_prefix() as f64 / self.window as f64)
     }
 
-    /// Runs the full KS decision at the configured significance level.
-    ///
-    /// # Errors
-    ///
-    /// As for [`statistic`](Self::statistic).
-    pub fn outcome(&mut self, cfg: &KsConfig) -> Result<KsOutcome, MocheError> {
+    /// The KS decision at the configured significance level, or `None`
+    /// until both windows are full.
+    pub fn outcome(&self, cfg: &KsConfig) -> Option<KsOutcome> {
         let statistic = self.statistic()?;
-        let (n, m) = (self.n(), self.m());
-        Ok(KsOutcome {
+        let w = self.window;
+        Some(KsOutcome {
             statistic,
-            threshold: cfg.threshold(n, m),
-            rejected: cfg.rejects(statistic, n, m),
-            n,
-            m,
+            threshold: cfg.threshold(w, w),
+            rejected: cfg.rejects(statistic, w, w),
+            n: w,
+            m: w,
         })
     }
 
-    /// Current reference values (unordered).
-    pub fn reference_values(&self) -> Vec<f64> {
-        self.reference.iter().map(|&(v, _)| v).collect()
+    /// The reference window, oldest first.
+    pub fn reference(&self) -> impl Iterator<Item = f64> + '_ {
+        self.ring.range(..self.ring.len().min(self.window)).copied()
     }
 
-    /// Current test values (unordered).
-    pub fn test_values(&self) -> Vec<f64> {
-        self.test.iter().map(|&(v, _)| v).collect()
+    /// The test window, oldest first.
+    pub fn test(&self) -> impl Iterator<Item = f64> + '_ {
+        self.ring.range(self.ring.len().min(self.window)..).copied()
+    }
+
+    /// Both windows as contiguous slices `(reference, test)`. Rotates the
+    /// ring in place when it wraps (`O(w)`, no allocation).
+    pub fn windows(&mut self) -> (&[f64], &[f64]) {
+        let split = self.ring.len().min(self.window);
+        self.ring.make_contiguous().split_at(split)
     }
 }
 
@@ -253,140 +193,122 @@ mod tests {
     use super::*;
     use moche_core::ks_statistic;
 
-    #[test]
-    fn matches_batch_statistic_after_bulk_load() {
-        let r: Vec<f64> = (0..60).map(|i| f64::from(i % 10)).collect();
-        let t: Vec<f64> = (0..40).map(|i| f64::from(i % 7) + 2.0).collect();
-        let mut iks = IncrementalKs::new();
-        for &v in &r {
-            iks.insert_reference(v);
+    /// Pushes `series` and checks the statistic against the batch value of
+    /// the last `2w` observations after every push that fills the windows.
+    fn check_against_batch(w: usize, series: &[f64]) {
+        let mut ks = SlidingKs::new(w);
+        for (i, &v) in series.iter().enumerate() {
+            ks.push(v);
+            if i + 1 < 2 * w {
+                assert_eq!(ks.statistic(), None, "i = {i}");
+                continue;
+            }
+            let lo = i + 1 - 2 * w;
+            let batch = ks_statistic(&series[lo..lo + w], &series[lo + w..=i]).unwrap();
+            let inc = ks.statistic().unwrap();
+            assert!((inc - batch).abs() <= f64::EPSILON, "i = {i}: {inc} vs {batch}");
         }
-        for &v in &t {
-            iks.insert_test(v);
-        }
-        let inc = iks.statistic().unwrap();
-        let batch = ks_statistic(&r, &t).unwrap();
-        assert!((inc - batch).abs() < 1e-12, "incremental {inc} vs batch {batch}");
     }
 
     #[test]
     fn slide_keeps_statistic_exact() {
-        // Slide a test window across a series and compare against batch
-        // recomputation at every step.
         let series: Vec<f64> = (0..200).map(|i| ((i * 29) % 23) as f64 * 0.5).collect();
-        let w = 40;
-        let mut iks = IncrementalKs::new();
-        let mut ref_ids: Vec<ObsId> =
-            series[..w].iter().map(|&v| iks.insert_reference(v)).collect();
-        let mut test_ids: Vec<ObsId> =
-            series[w..2 * w].iter().map(|&v| iks.insert_test(v)).collect();
-        // Prime the structure.
-        let _ = iks.statistic().unwrap();
-
-        for step in 0..80 {
-            // Slide by one: the oldest reference leaves, the oldest test
-            // point becomes reference, the next series point becomes test.
-            let leaving_ref = ref_ids.remove(0);
-            let promoted = test_ids.remove(0);
-            let promoted_value = series[w + step];
-            assert!(iks.remove_test(promoted));
-            // n and m each momentarily change; re-adding restores them.
-            assert!(iks.remove_reference(leaving_ref));
-            ref_ids.push(iks.insert_reference(promoted_value));
-            test_ids.push(iks.insert_test(series[2 * w + step]));
-
-            let inc = iks.statistic().unwrap();
-            let batch = ks_statistic(
-                &series[step + 1..step + 1 + w],
-                &series[w + step + 1..w + step + 1 + 2 * w - w],
-            )
-            .unwrap();
-            assert!((inc - batch).abs() < 1e-12, "step {step}: {inc} vs {batch}");
-        }
+        check_against_batch(40, &series);
+        check_against_batch(2, &series);
     }
 
     #[test]
-    fn slide_test_is_constant_size_fast_path() {
-        let r: Vec<f64> = (0..50).map(|i| f64::from(i % 10)).collect();
-        let t0: Vec<f64> = (0..50).map(|i| f64::from(i % 10)).collect();
-        let mut iks = IncrementalKs::new();
-        for &v in &r {
-            iks.insert_reference(v);
+    fn statistic_is_max_prefix_over_w() {
+        // Disjoint windows: every reference point below every test point.
+        let mut ks = SlidingKs::new(3);
+        for v in [1.0, 2.0, 3.0, 4.0, 5.0, 6.0] {
+            ks.push(v);
         }
-        let mut ids: Vec<ObsId> = t0.iter().map(|&v| iks.insert_test(v)).collect();
-        let _ = iks.statistic().unwrap();
-
-        // Replace every test point by a shifted value one at a time; after
-        // each replacement the statistic must equal the batch value.
-        let mut current = t0.clone();
-        for i in 0..50 {
-            let new_value = current[i] + 5.0;
-            ids[i] = iks.slide_test(ids[i], new_value).unwrap();
-            current[i] = new_value;
-            let inc = iks.statistic().unwrap();
-            let batch = ks_statistic(&r, &current).unwrap();
-            assert!((inc - batch).abs() < 1e-12, "i = {i}");
-        }
-    }
-
-    #[test]
-    fn slide_reference_fast_path() {
-        let mut iks = IncrementalKs::new();
-        let ids: Vec<ObsId> = (0..30).map(|i| iks.insert_reference(f64::from(i))).collect();
-        for i in 0..30 {
-            iks.insert_test(f64::from(i) + 3.0);
-        }
-        let _ = iks.statistic().unwrap();
-        let new_id = iks.slide_reference(ids[0], 100.0).unwrap();
-        let inc = iks.statistic().unwrap();
-        let mut r: Vec<f64> = (1..30).map(f64::from).collect();
-        r.push(100.0);
-        let t: Vec<f64> = (0..30).map(|i| f64::from(i) + 3.0).collect();
-        let batch = ks_statistic(&r, &t).unwrap();
-        assert!((inc - batch).abs() < 1e-12);
-        assert!(iks.remove_reference(new_id));
+        assert_eq!(ks.statistic(), Some(1.0));
+        ks.push(0.5); // R = {2, 3, 4}, T = {5, 6, 0.5}
+        assert_eq!(ks.statistic().unwrap().to_bits(), (2.0f64 / 3.0).to_bits());
     }
 
     #[test]
     fn outcome_matches_config_decision() {
         let cfg = KsConfig::new(0.05).unwrap();
-        let mut iks = IncrementalKs::new();
+        let mut ks = SlidingKs::new(100);
+        assert!(ks.outcome(&cfg).is_none(), "no decision while warming");
         for i in 0..100 {
-            iks.insert_reference(f64::from(i % 10));
-            iks.insert_test(f64::from(i % 10) + 6.0);
+            ks.push(f64::from(i % 10));
         }
-        let o = iks.outcome(&cfg).unwrap();
+        for i in 0..100 {
+            ks.push(f64::from(i % 10) + 6.0);
+        }
+        let o = ks.outcome(&cfg).unwrap();
         assert!(o.rejected, "disjoint-ish samples must fail");
-        assert_eq!(o.n, 100);
-        assert_eq!(o.m, 100);
-    }
-
-    #[test]
-    fn empty_sides_error() {
-        let mut iks = IncrementalKs::new();
-        assert!(matches!(iks.statistic(), Err(MocheError::EmptyReference)));
-        iks.insert_reference(1.0);
-        assert!(matches!(iks.statistic(), Err(MocheError::EmptyTest)));
-    }
-
-    #[test]
-    fn unknown_handles_are_rejected() {
-        let mut iks = IncrementalKs::new();
-        let r = iks.insert_reference(1.0);
-        let t = iks.insert_test(2.0);
-        assert!(!iks.remove_reference(t), "test handle on reference side");
-        assert!(!iks.remove_test(r), "reference handle on test side");
-        assert!(iks.remove_reference(r));
-        assert!(iks.remove_test(t));
+        assert_eq!((o.n, o.m), (100, 100));
+        assert_eq!(o.threshold.to_bits(), cfg.threshold(100, 100).to_bits());
     }
 
     #[test]
     fn duplicate_values_are_fine() {
-        let mut iks = IncrementalKs::new();
-        for _ in 0..20 {
-            iks.insert_reference(5.0);
-            iks.insert_test(5.0);
+        let mut ks = SlidingKs::new(20);
+        for _ in 0..60 {
+            ks.push(5.0);
         }
-        assert_eq!(iks.statistic().unwrap(), 0.0);
+        assert_eq!(ks.statistic(), Some(0.0));
+    }
+
+    #[test]
+    fn signed_zeros_tie_like_the_batch_statistic() {
+        let mut ks = SlidingKs::new(2);
+        for v in [-0.0, -0.0, 0.0, 0.0] {
+            ks.push(v);
+        }
+        assert_eq!(ks_statistic(&[-0.0, -0.0], &[0.0, 0.0]).unwrap(), 0.0);
+        assert_eq!(ks.statistic(), Some(0.0));
+        // The ring keeps the raw bits.
+        let bits: Vec<u64> = ks.reference().chain(ks.test()).map(f64::to_bits).collect();
+        assert_eq!(bits, [(-0.0f64).to_bits(), (-0.0f64).to_bits(), 0, 0]);
+    }
+
+    #[test]
+    fn windows_split_the_ring_and_clear_empties_it() {
+        let mut ks = SlidingKs::new(3);
+        for i in 0..11 {
+            ks.push(f64::from(i));
+        }
+        let (r, t) = ks.windows();
+        assert_eq!((r, t), (&[5.0, 6.0, 7.0][..], &[8.0, 9.0, 10.0][..]));
+        assert_eq!(ks.reference().collect::<Vec<_>>(), [5.0, 6.0, 7.0]);
+        assert_eq!(ks.test().collect::<Vec<_>>(), [8.0, 9.0, 10.0]);
+        ks.clear();
+        assert!(ks.is_empty() && !ks.is_full());
+        ks.push(1.0);
+        assert_eq!(ks.windows(), (&[1.0][..], &[][..]));
+        assert_eq!(ks.len(), 1);
+    }
+
+    #[test]
+    fn filling_build_equals_slide_by_slide_updates() {
+        // The treap built in bulk when the windows fill must equal the one
+        // the same multiset reaches through slides.
+        let values: Vec<f64> =
+            (0..60).map(|i| [0.0, -0.0, 1.5, 2.0][i % 4] + (i % 7) as f64).collect();
+        let mut slid = SlidingKs::new(6);
+        for (i, &v) in values.iter().enumerate() {
+            slid.push(v);
+            if i + 1 < 12 {
+                assert!(slid.treap.is_empty(), "no treap while filling");
+                continue;
+            }
+            let mut built = SlidingKs::new(6);
+            for &v in &values[i + 1 - 12..=i] {
+                built.push(v);
+            }
+            assert_eq!(built.treap.to_sorted_vec(), slid.treap.to_sorted_vec(), "i = {i}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn push_rejects_non_finite() {
+        SlidingKs::new(4).push(f64::NAN);
     }
 }

@@ -10,10 +10,11 @@
 //!
 //! * [`treap`] — an order-augmented treap whose root exposes the maximum
 //!   absolute prefix sum of weighted elements;
-//! * [`incremental`] — weights `+m` / `-n` turn that prefix sum into
-//!   `n·m·D(R, T)`, giving `O(log N)` KS updates;
-//! * [`monitor`] — paired sliding windows, `O(log w)` per observation,
-//!   MOCHE explanations on every drift alarm.
+//! * [`incremental`] — [`SlidingKs`]: one ring of the last `2w`
+//!   observations and one treap weighted `+1` / `-1`, whose prefix sum is
+//!   `w·D(R, T)`, giving `O(log w)` KS updates per slide;
+//! * [`monitor`] — the drift monitor on top of it, MOCHE explanations on
+//!   every drift alarm.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,7 +29,7 @@ pub use fleet::{
     shard_of, ExplainedAlarm, FleetConfig, FleetPush, FleetShard, FleetShardSnapshot, FleetStats,
     FleetStatsView, MonitorFleet, SeriesStats,
 };
-pub use incremental::{IncrementalKs, ObsId};
+pub use incremental::SlidingKs;
 pub use monitor::{
     DriftMonitor, MonitorConfig, MonitorEvent, MonitorScratch, MonitorState, WindowCapture,
 };

@@ -8,13 +8,13 @@
 //! alarm, and the monitor answers *which points caused it* with the most
 //! comprehensible counterfactual explanation.
 //!
-//! Steady-state cost per observation is `O(log w)` (two treap slides for
-//! the KS statistic plus one order-statistic slide for the reference
-//! index) and `O(1)` for the decision; alarms are answered from
-//! incrementally-maintained state — `O(m log w)` plus the explanation
-//! construction itself, with **zero** heap allocations once warm (gated by
-//! `tests/alloc_count.rs`). Bad input never panics the monitor: route
-//! untrusted streams through [`DriftMonitor::try_push`].
+//! Steady-state cost per observation is `O(log w)`: three weight updates
+//! in one KS treap ([`SlidingKs`]) and an `O(1)` decision at its root.
+//! An alarm sorts the reference window once (`O(w log w)`), splices the
+//! test window into it, and constructs the explanation — with **zero**
+//! heap allocations once warm (gated by `tests/alloc_count.rs`). Bad input
+//! never panics the monitor: route untrusted streams through
+//! [`DriftMonitor::try_push`].
 //!
 //! ## One series vs. a fleet
 //!
@@ -23,21 +23,21 @@
 //! multi-series deployment ([`crate::MonitorFleet`]) can pool the
 //! expensive one:
 //!
-//! * [`MonitorState`] — the per-series sliding windows, incremental KS
-//!   treaps, and counters. This is the part that *must* exist once per
+//! * [`MonitorState`] — the per-series sliding windows (one ring and one
+//!   KS treap) and counters. This is the part that *must* exist once per
 //!   series (`O(w)` memory each).
-//! * [`MonitorScratch`] — the explain engine, arena, Spectral-Residual
-//!   FFT planes, and preference buffers. This part is only touched while
-//!   answering an alarm, so one scratch can serve thousands of series on
-//!   a worker (`O(w)` memory once per worker, not per series).
+//! * [`MonitorScratch`] — the reference index, explain engine, arena,
+//!   Spectral-Residual FFT planes, and preference buffers. This part is
+//!   only touched while answering an alarm, so one scratch can serve
+//!   thousands of series on a worker (`O(w)` memory once per worker, not
+//!   per series).
 
-use crate::incremental::{IncrementalKs, ObsId};
+use crate::incremental::SlidingKs;
 use moche_core::{
-    ExplainEngine, Explanation, ExplanationArena, IncrementalRefIndex, KsConfig, KsOutcome,
-    MocheError, PreferenceList, SizeSearch,
+    ExplainEngine, Explanation, ExplanationArena, KsConfig, KsOutcome, MocheError, PreferenceList,
+    ReferenceIndex, SizeSearch,
 };
 use moche_sigproc::{SaliencyScratch, SpectralResidual};
-use std::collections::VecDeque;
 
 /// Monitor configuration.
 #[derive(Debug, Clone, Copy)]
@@ -121,24 +121,58 @@ pub enum MonitorEvent {
     },
 }
 
+/// What an alarm asks of [`MonitorScratch::answer`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum AlarmJob {
+    /// The full MOCHE explanation.
+    Explain,
+    /// The Phase-1 size only.
+    Size,
+}
+
+impl AlarmJob {
+    /// The job an alarm under `cfg` runs, if any.
+    pub(crate) fn for_config(cfg: &MonitorConfig) -> Option<Self> {
+        if cfg.size_only {
+            Some(Self::Size)
+        } else if cfg.explain_on_drift {
+            Some(Self::Explain)
+        } else {
+            None
+        }
+    }
+}
+
+/// What [`MonitorScratch::answer`] produced for one window pair.
+#[derive(Debug, Default)]
+pub(crate) struct AlarmAnswer {
+    pub(crate) explanation: Option<Explanation>,
+    pub(crate) size: Option<SizeSearch>,
+    /// An explanation was produced with the identity-preference fallback.
+    pub(crate) degraded: bool,
+}
+
 /// The alarm-answering working set, separate from per-series state so a
-/// fleet worker can share one across all the series it owns: the explain
-/// engine (bounds workspace, base-vector splice buffers), the recycled
+/// fleet worker can share one across all the series it owns: the
+/// rebuildable reference index and its sort buffer, the explain engine
+/// (bounds workspace, base-vector splice buffers), the recycled
 /// explanation arena, the Spectral-Residual FFT planes, and the
 /// score/preference buffers. Only touched while explaining, never while
 /// pushing, so sharing it costs nothing on the fast path.
 #[derive(Debug, Clone)]
 pub struct MonitorScratch {
+    /// The reference window's rank index, re-sorted in place per alarm
+    /// (`None` until the first alarm).
+    ref_index: Option<ReferenceIndex>,
+    /// Sort buffer for [`ReferenceIndex::rebuild_from`].
+    sort_scratch: Vec<f64>,
     /// Scratch-reusing explainer: alarm N reuses the buffers of alarm N-1.
     engine: ExplainEngine,
     /// Recycled output storage: callers that hand consumed explanations
     /// back via [`recycle`](Self::recycle) make alarms allocation-free on
     /// the output side too.
     arena: ExplanationArena,
-    /// Recycled per-alarm scratch: the flattened test window...
-    test_scratch: Vec<f64>,
-    /// ...the Spectral Residual working set (FFT spectrum, saliency
-    /// planes)...
+    /// The Spectral Residual working set (FFT spectrum, saliency planes)...
     sr_scratch: SaliencyScratch,
     /// ...the outlier scores derived from it...
     score_scratch: Vec<f64>,
@@ -151,9 +185,10 @@ impl MonitorScratch {
     /// All series sharing a scratch must use the same significance level.
     pub fn with_config(ks_cfg: KsConfig) -> Self {
         Self {
+            ref_index: None,
+            sort_scratch: Vec::new(),
             engine: ExplainEngine::with_config(ks_cfg),
             arena: ExplanationArena::new(),
-            test_scratch: Vec::new(),
             sr_scratch: SaliencyScratch::new(),
             score_scratch: Vec::new(),
             pref_scratch: PreferenceList::identity(0),
@@ -175,42 +210,45 @@ impl MonitorScratch {
         self.arena.recycle(explanation);
     }
 
-    /// Explains a captured alarm window pair through this scratch: ranks
-    /// `test` with `sr` (identity fallback on breakdown), splices against
-    /// `index`, and constructs the explanation into the arena. Returns the
-    /// explanation and whether the preference degraded — the fleet's
-    /// deferred-queue twin of [`MonitorState::explain_in`], producing
-    /// identical explanations for identical windows.
-    pub(crate) fn explain_deferred(
+    /// Answers one alarm window pair — the only alarm path, shared by the
+    /// monitor's inline alarms and the fleet's deferred queue: re-sorts
+    /// `reference` into the index, then either ranks `test` with `sr`
+    /// (identity fallback on breakdown) and constructs the explanation
+    /// into the arena, or runs Phase 1 only.
+    pub(crate) fn answer(
         &mut self,
+        job: AlarmJob,
         sr: &SpectralResidual,
-        index: &moche_core::ReferenceIndex,
+        reference: &[f64],
         test: &[f64],
-    ) -> (Option<Explanation>, bool) {
-        let degraded = self.fill_preference(sr, test);
-        let explanation = self
-            .engine
-            .explain_with_index_in(index, test, &self.pref_scratch, &mut self.arena)
-            .ok();
-        let counted = degraded && explanation.is_some();
-        (explanation, counted)
-    }
-
-    /// Phase 1 only over a captured window pair — the deferred twin of
-    /// [`MonitorState::size_in`].
-    pub(crate) fn size_deferred(
-        &mut self,
-        index: &moche_core::ReferenceIndex,
-        test: &[f64],
-    ) -> Option<SizeSearch> {
-        self.engine.size_with_index(index, test).ok()
+    ) -> AlarmAnswer {
+        let degraded = job == AlarmJob::Explain && self.fill_preference(sr, test);
+        let Some(index) = rebuild_index(&mut self.ref_index, &mut self.sort_scratch, reference)
+        else {
+            return AlarmAnswer::default();
+        };
+        match job {
+            AlarmJob::Size => AlarmAnswer {
+                size: self.engine.size_with_index(index, test).ok(),
+                ..AlarmAnswer::default()
+            },
+            AlarmJob::Explain => {
+                let explanation = self
+                    .engine
+                    .explain_with_index_in(index, test, &self.pref_scratch, &mut self.arena)
+                    .ok();
+                // Count the degradation only when an explanation was
+                // actually produced with the fallback ranking.
+                let degraded = degraded && explanation.is_some();
+                AlarmAnswer { explanation, size: None, degraded }
+            }
+        }
     }
 
     /// Fills the preference scratch for `test` by Spectral-Residual score
     /// (falling back to the identity order on numerical breakdown or short
-    /// windows) and reports whether it degraded. Shared by the inline and
-    /// deferred alarm paths so both rank points identically.
-    pub(crate) fn fill_preference(&mut self, sr: &SpectralResidual, test: &[f64]) -> bool {
+    /// windows) and reports whether it degraded.
+    fn fill_preference(&mut self, sr: &SpectralResidual, test: &[f64]) -> bool {
         let m = test.len();
         if m >= 4 {
             let scored =
@@ -227,6 +265,22 @@ impl MonitorScratch {
         }
         self.pref_scratch.fill_identity(m);
         false
+    }
+}
+
+/// Re-sorts `reference` into the index in `slot` (building it on first
+/// use), reusing its buffers. `None` for an empty or non-finite reference.
+fn rebuild_index<'a>(
+    slot: &'a mut Option<ReferenceIndex>,
+    sort_scratch: &mut Vec<f64>,
+    reference: &[f64],
+) -> Option<&'a ReferenceIndex> {
+    match slot {
+        Some(index) => {
+            index.rebuild_from(reference, sort_scratch).ok()?;
+            Some(index)
+        }
+        None => Some(slot.insert(ReferenceIndex::new(reference).ok()?)),
     }
 }
 
@@ -261,24 +315,16 @@ enum AlarmWork<'a> {
     Defer(&'a mut WindowCapture),
 }
 
-/// The per-series half of a drift monitor: sliding windows, incremental KS
-/// treaps, the reference order-statistics index, and counters — everything
-/// that must exist once per monitored series. All alarm-answering buffers
-/// live in a separate [`MonitorScratch`] passed into the methods, so a
-/// fleet worker can own one scratch and thousands of states.
+/// The per-series half of a drift monitor: the sliding windows with their
+/// KS treap ([`SlidingKs`]) and counters — everything that must exist once
+/// per monitored series. All alarm-answering buffers live in a separate
+/// [`MonitorScratch`] passed into the methods, so a fleet worker can own
+/// one scratch and thousands of states.
 #[derive(Debug, Clone)]
 pub struct MonitorState {
     cfg: MonitorConfig,
     ks_cfg: KsConfig,
-    iks: IncrementalKs,
-    ref_window: VecDeque<(f64, ObsId)>,
-    test_window: VecDeque<(f64, ObsId)>,
-    /// The reference order statistics, maintained **incrementally** across
-    /// window slides (`O(log w)` each) and materialized without sorting at
-    /// alarm time — the index the alarm splice consumes. Always in sync
-    /// with `ref_window`, so no alarm can ever pair a stale index with
-    /// fresh windows (the hazard the old per-alarm rebuild had).
-    ref_index: IncrementalRefIndex,
+    ks: SlidingKs,
     pushes: u64,
     alarms: u64,
     degraded_preferences: u64,
@@ -307,10 +353,7 @@ impl MonitorState {
         Ok(Self {
             cfg,
             ks_cfg,
-            iks: IncrementalKs::new(),
-            ref_window: VecDeque::with_capacity(cfg.window),
-            test_window: VecDeque::with_capacity(cfg.window),
-            ref_index: IncrementalRefIndex::with_capacity(cfg.window),
+            ks: SlidingKs::new(cfg.window),
             pushes: 0,
             alarms: 0,
             degraded_preferences: 0,
@@ -346,12 +389,12 @@ impl MonitorState {
 
     /// The current reference window contents, oldest first.
     pub fn reference_window(&self) -> Vec<f64> {
-        self.ref_window.iter().map(|&(v, _)| v).collect()
+        self.ks.reference().collect()
     }
 
     /// The current test window contents, oldest first.
     pub fn test_window(&self) -> Vec<f64> {
-        self.test_window.iter().map(|&(v, _)| v).collect()
+        self.ks.test().collect()
     }
 
     /// Feeds one observation, answering alarms inline through `scratch` —
@@ -392,90 +435,37 @@ impl MonitorState {
         value: f64,
         work: AlarmWork<'_>,
     ) -> Result<MonitorEvent, MocheError> {
-        let w = self.cfg.window;
         if !value.is_finite() {
             return Err(MocheError::NonFiniteObservation { accepted: self.pushes, value });
         }
         self.pushes += 1;
-
-        if self.ref_window.len() < w {
-            let id = self.iks.insert_reference(value);
-            self.ref_window.push_back((value, id));
-            self.ref_index.insert(value);
-            return Ok(MonitorEvent::Warming {
-                seen: self.ref_window.len() + self.test_window.len(),
-                needed: 2 * w,
-            });
-        }
-        if self.test_window.len() < w {
-            let id = self.iks.insert_test(value);
-            self.test_window.push_back((value, id));
-            if self.test_window.len() < w {
-                return Ok(MonitorEvent::Warming {
-                    seen: self.ref_window.len() + self.test_window.len(),
-                    needed: 2 * w,
-                });
-            }
-            // Windows just became full: fall through to the decision.
-        } else {
-            // Steady state: the oldest test point is promoted to the
-            // reference window (replacing its oldest point), and the new
-            // observation enters the test window. Three O(log w) slides:
-            // two in the KS structure, one in the reference order
-            // statistics.
-            let (promoted_value, promoted_id) =
-                // lint:allow(panic): steady state means both windows are at
-                // capacity w >= 1 — an empty pop is a state-machine bug
-                self.test_window.pop_front().expect("test window full");
-            let (oldest_ref_value, oldest_ref_id) =
-                // lint:allow(panic): same steady-state invariant
-                self.ref_window.pop_front().expect("ref window full");
-            let new_ref_id = self
-                .iks
-                .slide_reference(oldest_ref_id, promoted_value)
-                // lint:allow(panic): the id was just popped from the window
-                // that owns it, so the KS structure still tracks it
-                .expect("ref handle is live");
-            self.ref_window.push_back((promoted_value, new_ref_id));
-            let removed = self.ref_index.remove(oldest_ref_value);
-            debug_assert!(removed, "reference index tracks the reference window");
-            self.ref_index.insert(promoted_value);
-            // lint:allow(panic): the id was just popped from the test window
-            let new_test_id = self.iks.slide_test(promoted_id, value).expect("test handle is live");
-            self.test_window.push_back((value, new_test_id));
-        }
-
-        // lint:allow(panic): reached only in steady state, where both
-        // windows hold exactly w observations
-        let outcome = self.iks.outcome(&self.ks_cfg).expect("both windows non-empty");
+        self.ks.push(value);
+        let Some(outcome) = self.ks.outcome(&self.ks_cfg) else {
+            return Ok(MonitorEvent::Warming { seen: self.ks.len(), needed: 2 * self.cfg.window });
+        };
         if !outcome.rejected {
             return Ok(MonitorEvent::Stable { outcome });
         }
 
         self.alarms += 1;
         let (explanation, size) = match work {
-            AlarmWork::Inline(scratch) => {
-                if self.cfg.size_only {
-                    (None, self.size_in(scratch))
-                } else if self.cfg.explain_on_drift {
-                    (self.explain_in(scratch), None)
-                } else {
-                    (None, None)
+            AlarmWork::Inline(scratch) => match AlarmJob::for_config(&self.cfg) {
+                Some(job) => {
+                    let answer = self.answer_current(scratch, job);
+                    (answer.explanation, answer.size)
                 }
-            }
+                None => (None, None),
+            },
             AlarmWork::Defer(capture) => {
                 capture.reference.clear();
-                capture.reference.extend(self.ref_window.iter().map(|&(v, _)| v));
+                capture.reference.extend(self.ks.reference());
                 capture.test.clear();
-                capture.test.extend(self.test_window.iter().map(|&(v, _)| v));
+                capture.test.extend(self.ks.test());
                 (None, None)
             }
         };
         if self.cfg.reset_on_drift {
-            self.ref_window.clear();
-            self.test_window.clear();
-            self.ref_index.clear();
-            self.iks = IncrementalKs::new();
+            self.ks.clear();
         }
         Ok(MonitorEvent::Drift { outcome, explanation, size })
     }
@@ -483,49 +473,40 @@ impl MonitorState {
     /// Explains the current window pair through `scratch` — see
     /// [`DriftMonitor::explain_current`] for the full contract.
     pub fn explain_in(&mut self, scratch: &mut MonitorScratch) -> Option<Explanation> {
-        self.refresh_alarm_scratch(scratch)?;
         if !self.currently_rejected() {
-            // Passing windows have nothing to explain; deciding that here
-            // costs O(1) (the incremental statistic is sitting at the
-            // treap root) instead of paying the SR transform and the
-            // base-vector build just to learn the same from the engine.
+            // Still warming, or passing windows with nothing to explain:
+            // deciding that here costs O(1) (the statistic is sitting at
+            // the treap root) instead of paying the sort, the SR transform
+            // and the base-vector build just to learn the same.
             return None;
         }
-        let sr = self.cfg.spectral_residual();
-        let test = std::mem::take(&mut scratch.test_scratch);
-        let degraded = scratch.fill_preference(&sr, &test);
-        let index = self.ref_index.materialize().ok();
-        let explanation = index.and_then(|index| {
-            scratch
-                .engine
-                .explain_with_index_in(index, &test, &scratch.pref_scratch, &mut scratch.arena)
-                .ok()
-        });
-        scratch.test_scratch = test;
-        // Count the degradation only when an explanation was actually
-        // produced with the fallback ranking — an on-demand poll of a
-        // currently-passing window pair must not register phantom
-        // degraded alarms.
-        if degraded && explanation.is_some() {
-            self.degraded_preferences += 1;
-        }
-        explanation
+        self.answer_current(scratch, AlarmJob::Explain).explanation
     }
 
     /// Phase 1 only through `scratch` — see [`DriftMonitor::size_current`].
     pub fn size_in(&mut self, scratch: &mut MonitorScratch) -> Option<SizeSearch> {
-        self.refresh_alarm_scratch(scratch)?;
         if !self.currently_rejected() {
             return None; // see explain_in
         }
-        let index = self.ref_index.materialize().ok()?;
-        scratch.engine.size_with_index(index, &scratch.test_scratch).ok()
+        self.answer_current(scratch, AlarmJob::Size).size
     }
 
     /// Whether the monitor's KS decision — the same one that raises
-    /// alarms — currently rejects the window pair. `O(1)` in steady state.
-    fn currently_rejected(&mut self) -> bool {
-        matches!(self.iks.outcome(&self.ks_cfg), Ok(outcome) if outcome.rejected)
+    /// alarms — currently rejects the window pair. `O(1)`.
+    fn currently_rejected(&self) -> bool {
+        self.ks.outcome(&self.ks_cfg).is_some_and(|outcome| outcome.rejected)
+    }
+
+    /// Answers the current window pair straight from the ring, counting a
+    /// degraded preference.
+    fn answer_current(&mut self, scratch: &mut MonitorScratch, job: AlarmJob) -> AlarmAnswer {
+        let sr = self.cfg.spectral_residual();
+        let (reference, test) = self.ks.windows();
+        let answer = scratch.answer(job, &sr, reference, test);
+        if answer.degraded {
+            self.degraded_preferences += 1;
+        }
+        answer
     }
 
     /// Captures the restorable state — see [`DriftMonitor::snapshot`].
@@ -566,33 +547,16 @@ impl MonitorState {
             sr_score_window: snapshot.sr_score_window,
         };
         let mut state = Self::new(cfg)?;
-        for &value in &snapshot.reference {
-            let id = state.iks.insert_reference(value);
-            state.ref_window.push_back((value, id));
-            state.ref_index.insert(value);
-        }
-        for &value in &snapshot.test {
-            let id = state.iks.insert_test(value);
-            state.test_window.push_back((value, id));
+        // `validate` guarantees the warm-up order (a test window only
+        // behind a full reference window), so refilling the ring in order
+        // rebuilds both windows exactly.
+        for &value in snapshot.reference.iter().chain(&snapshot.test) {
+            state.ks.push(value);
         }
         state.pushes = snapshot.pushes;
         state.alarms = snapshot.alarms;
         state.degraded_preferences = snapshot.degraded_preferences;
         Ok(state)
-    }
-
-    /// Refills the recycled test-window scratch. The reference side needs
-    /// no refresh: its order statistics are maintained incrementally with
-    /// every slide, so the alarm path can never pair a stale reference
-    /// index with fresh windows — any failure below leaves the scratch
-    /// empty (unambiguously invalid), never half-updated.
-    fn refresh_alarm_scratch(&mut self, scratch: &mut MonitorScratch) -> Option<()> {
-        scratch.test_scratch.clear();
-        if self.test_window.len() < self.cfg.window || self.ref_index.is_empty() {
-            return None; // still warming (or just reset): nothing to explain
-        }
-        scratch.test_scratch.extend(self.test_window.iter().map(|&(v, _)| v));
-        Some(())
     }
 }
 
@@ -707,11 +671,10 @@ impl DriftMonitor {
     /// for a dashboard). Returns `None` while the windows are still
     /// warming, or when the KS test currently passes (nothing to explain).
     ///
-    /// The reference order statistics are maintained incrementally across
-    /// slides, so no per-alarm sort happens here: materializing the index
-    /// is an `O(q_R)` in-order walk, the base-vector splice is
-    /// `O(m log w)` plus chunk copies, and every buffer — windows, index,
-    /// FFT planes, preference, bounds workspace, and (after
+    /// The windows are read straight from the ring; the reference window
+    /// is sorted once into the index (`O(w log w)`), the base-vector
+    /// splice is `O(m log w)` plus chunk copies, and every buffer — index,
+    /// sort buffer, FFT planes, preference, bounds workspace, and (after
     /// [`recycle`](Self::recycle)) the output itself — is recycled scratch
     /// refilled in place: a warm alarm performs **zero** heap allocations.
     ///
@@ -746,8 +709,8 @@ impl DriftMonitor {
 
     /// Captures the monitor's restorable state: configuration, both
     /// window contents, and the alarm/degradation counters. Derived
-    /// structures (the KS treap, the reference order-statistics index,
-    /// engine scratch) are rebuilt on [`restore`](Self::restore), so the
+    /// structures (the KS treap, the alarm scratch) are rebuilt on
+    /// [`restore`](Self::restore), so the
     /// snapshot stays small and format-stable. See
     /// [`crate::snapshot::MonitorSnapshot`] for the serialized form and
     /// the byte-identity guarantee.
@@ -755,9 +718,9 @@ impl DriftMonitor {
         self.state.snapshot()
     }
 
-    /// Rebuilds a monitor from a snapshot. The window values are
-    /// re-inserted through the same incremental structures `try_push`
-    /// maintains, so the restored monitor's future behaviour is
+    /// Rebuilds a monitor from a snapshot. The window values are pushed
+    /// back into the ring and KS treap `try_push` maintains, so the
+    /// restored monitor's future behaviour is
     /// observably identical to the captured one's — including
     /// byte-identical alarm explanations (the KS decision is exact
     /// integer arithmetic over the window multisets, independent of
@@ -1155,36 +1118,111 @@ mod tests {
     }
 
     #[test]
-    fn incremental_index_stays_in_sync_with_the_reference_window() {
+    fn ring_and_treap_stay_in_sync_with_the_windows() {
         // Slides, alarms, rejected pushes and resets: after every accepted
-        // observation the incrementally-maintained index must equal a
-        // from-scratch sorted build of the reference window — the
-        // structural guarantee that replaced the stale-scratch hazard of
-        // the per-alarm rebuild.
-        use moche_core::ReferenceIndex;
+        // observation the windows must be the last 2w accepted values since
+        // the last reset, and the KS statistic (when full) the batch value.
         for reset in [true, false] {
             let mut cfg = MonitorConfig::new(15, 0.05);
             cfg.reset_on_drift = reset;
+            let w = cfg.window;
             let mut mon = DriftMonitor::new(cfg).unwrap();
+            let mut since_reset: Vec<f64> = Vec::new();
             for i in 0..240u32 {
                 if i % 7 == 0 {
                     assert!(mon.try_push(f64::NAN).is_err());
                 }
                 let x = f64::from(i % 11) + if (i / 60) % 2 == 0 { 0.0 } else { 25.0 };
-                if let MonitorEvent::Drift { explanation: Some(e), .. } = mon.push(x) {
+                since_reset.push(x);
+                let tail = &since_reset[since_reset.len().saturating_sub(2 * w)..];
+                let (r, t) = tail.split_at(tail.len().min(w));
+                let (r, t) = (r.to_vec(), t.to_vec());
+                match mon.push(x) {
+                    MonitorEvent::Drift { outcome, explanation, .. } => {
+                        let batch = moche_core::ks_statistic(&r, &t).unwrap();
+                        assert!((outcome.statistic - batch).abs() <= f64::EPSILON, "i = {i}");
+                        if let Some(e) = explanation {
+                            mon.recycle(e);
+                        }
+                        if reset {
+                            since_reset.clear();
+                            assert!(mon.reference_window().is_empty(), "reset empties the ring");
+                            continue;
+                        }
+                    }
+                    MonitorEvent::Stable { outcome } => {
+                        let batch = moche_core::ks_statistic(&r, &t).unwrap();
+                        assert!((outcome.statistic - batch).abs() <= f64::EPSILON, "i = {i}");
+                    }
+                    MonitorEvent::Warming { seen, .. } => assert_eq!(seen, r.len() + t.len()),
+                }
+                assert_eq!(mon.reference_window(), r, "i = {i}, reset = {reset}");
+                assert_eq!(mon.test_window(), t, "i = {i}, reset = {reset}");
+            }
+        }
+    }
+
+    /// Feeds `series` to a monitor and, in parallel, to a from-scratch
+    /// `ks_test` replay over the last `2w` values since the last reset;
+    /// returns both alarm position lists.
+    fn alarms_vs_replay(cfg: MonitorConfig, series: &[f64]) -> (Vec<usize>, Vec<usize>) {
+        let ks_cfg = KsConfig::new(cfg.alpha).unwrap();
+        let w = cfg.window;
+        let mut mon = DriftMonitor::new(cfg).unwrap();
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let mut since_reset: Vec<f64> = Vec::new();
+        for (i, &x) in series.iter().enumerate() {
+            if let MonitorEvent::Drift { explanation, .. } = mon.push(x) {
+                got.push(i);
+                if let Some(e) = explanation {
+                    assert!(e.outcome_after.passes(), "i = {i}");
                     mon.recycle(e);
                 }
-                let window = mon.reference_window();
-                if window.is_empty() {
-                    assert!(mon.state.ref_index.is_empty(), "reset must clear the index (i = {i})");
-                } else {
-                    assert_eq!(
-                        mon.state.ref_index.materialize().unwrap(),
-                        &ReferenceIndex::new(&window).unwrap(),
-                        "i = {i}, reset = {reset}"
-                    );
+            }
+            since_reset.push(x);
+            let n = since_reset.len();
+            if n >= 2 * w {
+                let window = &since_reset[n - 2 * w..];
+                if moche_core::ks_test(&window[..w], &window[w..], &ks_cfg).unwrap().rejected {
+                    want.push(i);
+                    if cfg.reset_on_drift {
+                        since_reset.clear();
+                    }
                 }
             }
+        }
+        (got, want)
+    }
+
+    #[test]
+    fn signed_zeros_never_raise_a_spurious_alarm() {
+        // -0.0 and 0.0 are one tied value to the KS test: eight of each is
+        // the same distribution, not a drift with D = 1.
+        let series: Vec<f64> = [-0.0; 8].into_iter().chain([0.0; 8]).chain([-0.0; 8]).collect();
+        let (got, want) = alarms_vs_replay(MonitorConfig::new(8, 0.05), &series);
+        assert!(want.is_empty());
+        assert_eq!(got, want, "no alarm on signed zeros");
+    }
+
+    #[test]
+    fn signed_zero_streams_alarm_exactly_like_a_batch_replay() {
+        // Stretches of zeros, in blocks of eight -0.0 then eight 0.0,
+        // alternate with shifted stretches that still hold a -0.0 every
+        // eighth point, under both reset modes.
+        let series: Vec<f64> = (0..400usize)
+            .map(|i| match (i / 50) % 2 {
+                0 if (i / 8).is_multiple_of(2) => -0.0,
+                0 => 0.0,
+                _ if i.is_multiple_of(8) => -0.0,
+                _ => (i % 4) as f64,
+            })
+            .collect();
+        for reset in [true, false] {
+            let mut cfg = MonitorConfig::new(8, 0.05);
+            cfg.reset_on_drift = reset;
+            let (got, want) = alarms_vs_replay(cfg, &series);
+            assert!(!want.is_empty(), "the shifts must alarm (reset = {reset})");
+            assert_eq!(got, want, "reset = {reset}");
         }
     }
 

@@ -11,11 +11,12 @@
 //! overstate the deviation). The treap maintains, per subtree, the total
 //! weight and the maximum/minimum prefix sum over the in-order traversal.
 //!
-//! With reference observations weighted `+m` and test observations
-//! weighted `-n`, the prefix sum at value `x` equals
-//! `n·m·(F_R(x) - F_T(x))`, so the KS statistic is
-//! `max(max_prefix, -min_prefix) / (n·m)` — readable at the root in `O(1)`
-//! after `O(log N)` expected-time weight updates.
+//! With `w` reference observations weighted `+1` and `w` test observations
+//! weighted `-1`, the prefix sum at value `x` equals
+//! `w·(F_R(x) - F_T(x))`, so the KS statistic is
+//! `max(max_prefix, -min_prefix) / w` — readable at the root in `O(1)`
+//! after `O(log N)` expected-time weight updates (see
+//! [`crate::SlidingKs`]).
 
 /// Node arena index.
 type Idx = u32;
@@ -96,9 +97,64 @@ impl WeightedTreap {
         }
     }
 
-    /// The largest absolute prefix sum — `n·m·D` under the KS weighting.
+    /// The largest absolute prefix sum — `w·D` under the KS weighting.
     pub fn max_abs_prefix(&self) -> i64 {
         self.max_prefix().max(-self.min_prefix())
+    }
+
+    /// Replaces the contents with one observation per `(value, weight)`
+    /// item, in `O(N)`: the bulk twin of [`clear`](Self::clear) plus one
+    /// [`update`](Self::update) per item. Items must ascend in `total_cmp`
+    /// order; equal values (adjacent) collapse into one node.
+    ///
+    /// # Panics
+    ///
+    /// Panics on non-finite values.
+    pub fn rebuild_sorted(&mut self, items: &[(f64, i64)]) {
+        self.clear();
+        // The right spine of the tree built so far, root first; its last
+        // node is the most recent value. A node popped off the spine is
+        // final (both children fixed), so it is pulled right there,
+        // deepest first.
+        let mut spine: Vec<Idx> = Vec::new();
+        for &(value, weight) in items {
+            assert!(value.is_finite(), "treap keys must be finite");
+            if let Some(&last) = spine.last() {
+                let node = &mut self.nodes[last as usize];
+                debug_assert!(node.value.total_cmp(&value).is_le(), "items must ascend");
+                if node.value.total_cmp(&value).is_eq() {
+                    node.weight += weight;
+                    node.elems += 1;
+                    continue;
+                }
+            }
+            let idx = self.alloc(value, weight, 1);
+            let mut left = NIL;
+            while let Some(&top) = spine.last() {
+                if self.nodes[top as usize].priority >= self.nodes[idx as usize].priority {
+                    break;
+                }
+                spine.pop();
+                self.pull(top);
+                left = top;
+            }
+            self.nodes[idx as usize].left = left;
+            if let Some(&top) = spine.last() {
+                self.nodes[top as usize].right = idx;
+            }
+            spine.push(idx);
+        }
+        for &idx in spine.iter().rev() {
+            self.pull(idx);
+        }
+        self.root = spine.first().copied().unwrap_or(NIL);
+    }
+
+    /// Removes every value, keeping the node arena's allocation.
+    pub fn clear(&mut self) {
+        self.nodes.clear();
+        self.free.clear();
+        self.root = NIL;
     }
 
     fn next_priority(&mut self) -> u64 {
@@ -348,6 +404,36 @@ mod tests {
                 map.remove(&bits);
             }
             check(&t, &map, &format!("step {step}"));
+        }
+    }
+
+    #[test]
+    fn bulk_build_matches_updates() {
+        let mut state = 0x9E37_u64;
+        for n in [0usize, 1, 2, 3, 17, 200] {
+            // Ascending values with runs of ties; oracle keys from 1 up,
+            // leaving 0 for a smaller value added afterwards.
+            let mut map: BTreeMap<u64, (i64, i64)> = BTreeMap::new();
+            let mut items = Vec::new();
+            let mut t = WeightedTreap::new(n as u64);
+            t.update(99.0, 1, 1); // replaced by the rebuild
+            for i in 0..n {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let key = (i / 3) as u64 + 1;
+                let weight = (state >> 40) as i64 % 7 - 3;
+                items.push((key as f64 * 0.5, weight));
+                let entry = map.entry(key).or_insert((0, 0));
+                entry.0 += weight;
+                entry.1 += 1;
+            }
+            t.rebuild_sorted(&items);
+            check(&t, &map, &format!("n = {n}"));
+            let elems: Vec<u32> = t.to_sorted_vec().iter().map(|&(_, _, e)| e).collect();
+            assert_eq!(elems, map.values().map(|&(_, e)| e as u32).collect::<Vec<_>>());
+            // Still a working treap: updates keep the aggregates exact.
+            t.update(-1.0, 5, 1);
+            map.insert(0, (5, 1));
+            check(&t, &map, &format!("n = {n}, after an update"));
         }
     }
 

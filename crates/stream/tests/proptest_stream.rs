@@ -1,94 +1,93 @@
-//! Property-based tests of the streaming substrates: the incremental KS
-//! statistic must equal the batch statistic after arbitrary operation
-//! sequences, and the treap aggregates must match a naive oracle.
+//! Property-based tests of the streaming substrates: the sliding KS
+//! statistic must equal the batch statistic of the last `2w` observations
+//! after every push, and the treap aggregates must match a naive oracle.
 
 use moche_core::ks_statistic;
-use moche_stream::{IncrementalKs, WeightedTreap};
+use moche_stream::{SlidingKs, WeightedTreap};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
 #[derive(Debug, Clone)]
 enum Op {
-    InsertRef(f64),
-    InsertTest(f64),
-    RemoveRef(usize),  // index into live reference handles (mod len)
-    RemoveTest(usize), // index into live test handles (mod len)
-    SlideTest(usize, f64),
-    SlideRef(usize, f64),
-    Check,
+    Push(f64),
+    Clear,
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    let val = (-50i32..50).prop_map(|v| f64::from(v) * 0.5);
+/// A small grid plus both signed zeros, weighted towards a handful of
+/// values so duplicates (within and across the windows) are the norm.
+fn value() -> impl Strategy<Value = f64> {
     prop_oneof![
-        val.clone().prop_map(Op::InsertRef),
-        val.clone().prop_map(Op::InsertTest),
-        (0usize..64).prop_map(Op::RemoveRef),
-        (0usize..64).prop_map(Op::RemoveTest),
-        ((0usize..64), val.clone()).prop_map(|(i, v)| Op::SlideTest(i, v)),
-        ((0usize..64), val).prop_map(|(i, v)| Op::SlideRef(i, v)),
-        Just(Op::Check),
+        (-3i32..4).prop_map(|v| f64::from(v) * 0.5),
+        (-3i32..4).prop_map(|v| f64::from(v) * 0.5),
+        Just(0.0),
+        Just(-0.0),
+        Just(1.0),
     ]
 }
 
+/// Mostly pushes, with a clear about once per 40 operations.
+fn op() -> impl Strategy<Value = Op> {
+    (0u32..40, value()).prop_map(|(roll, v)| if roll == 0 { Op::Clear } else { Op::Push(v) })
+}
+
+/// `max_x |#{r <= x} - #{t <= x}|` by brute force over the sample points,
+/// comparing numerically (so `-0.0` ties `0.0`, as in `ks_statistic`).
+fn max_count_gap(r: &[f64], t: &[f64]) -> u64 {
+    r.iter()
+        .chain(t)
+        .map(|&x| {
+            let below = |s: &[f64]| s.iter().filter(|&&v| v <= x).count() as i64;
+            (below(r) - below(t)).unsigned_abs()
+        })
+        .max()
+        .unwrap_or(0)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
+    // After every push the statistic is exactly `k / w` for the integer
+    // count gap `k` of the last 2w values, and within one ulp-scale step
+    // of `ks_statistic` (which rounds `i/w` and `j/w` separately before
+    // subtracting, so it can differ from `k / w` in the last bit: at
+    // w = 3, 2/3 - 1/3 = 0.33333333333333337 while 1/3 = 0.3333333333333333).
     #[test]
-    fn incremental_matches_batch_under_arbitrary_ops(
-        ops in proptest::collection::vec(op_strategy(), 10..120),
+    fn sliding_ks_matches_batch_after_every_push(
+        w in 2usize..16,
+        ops in proptest::collection::vec(op(), 1..160),
     ) {
-        let mut iks = IncrementalKs::new();
-        let mut ref_items: Vec<(f64, moche_stream::ObsId)> = Vec::new();
-        let mut test_items: Vec<(f64, moche_stream::ObsId)> = Vec::new();
-
-        // Seed with a few points so checks are meaningful early.
-        for i in 0..5 {
-            let v = f64::from(i);
-            ref_items.push((v, iks.insert_reference(v)));
-            test_items.push((v + 0.5, iks.insert_test(v + 0.5)));
-        }
-
-        for op in ops {
+        let mut ks = SlidingKs::new(w);
+        let mut since_clear: Vec<f64> = Vec::new();
+        for (step, op) in ops.into_iter().enumerate() {
             match op {
-                Op::InsertRef(v) => ref_items.push((v, iks.insert_reference(v))),
-                Op::InsertTest(v) => test_items.push((v, iks.insert_test(v))),
-                Op::RemoveRef(i) => {
-                    if ref_items.len() > 1 {
-                        let (_, id) = ref_items.swap_remove(i % ref_items.len());
-                        prop_assert!(iks.remove_reference(id));
-                    }
+                Op::Push(v) => {
+                    ks.push(v);
+                    since_clear.push(v);
                 }
-                Op::RemoveTest(i) => {
-                    if test_items.len() > 1 {
-                        let (_, id) = test_items.swap_remove(i % test_items.len());
-                        prop_assert!(iks.remove_test(id));
-                    }
+                Op::Clear => {
+                    ks.clear();
+                    since_clear.clear();
                 }
-                Op::SlideTest(i, v) => {
-                    if !test_items.is_empty() {
-                        let slot = i % test_items.len();
-                        let (_, old) = test_items[slot];
-                        let new_id = iks.slide_test(old, v).expect("live handle");
-                        test_items[slot] = (v, new_id);
-                    }
-                }
-                Op::SlideRef(i, v) => {
-                    if !ref_items.is_empty() {
-                        let slot = i % ref_items.len();
-                        let (_, old) = ref_items[slot];
-                        let new_id = iks.slide_reference(old, v).expect("live handle");
-                        ref_items[slot] = (v, new_id);
-                    }
-                }
-                Op::Check => {}
             }
-            // Verify after every op (the treap must never drift).
-            let r: Vec<f64> = ref_items.iter().map(|&(v, _)| v).collect();
-            let t: Vec<f64> = test_items.iter().map(|&(v, _)| v).collect();
-            let inc = iks.statistic().unwrap();
-            let batch = ks_statistic(&r, &t).unwrap();
-            prop_assert!((inc - batch).abs() < 1e-9, "inc {} vs batch {}", inc, batch);
+            let tail = &since_clear[since_clear.len().saturating_sub(2 * w)..];
+            let (r, t) = tail.split_at(tail.len().min(w));
+            let bits = |vs: &mut dyn Iterator<Item = f64>| vs.map(f64::to_bits).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&mut ks.reference()), bits(&mut r.iter().copied()));
+            prop_assert_eq!(bits(&mut ks.test()), bits(&mut t.iter().copied()));
+            if tail.len() < 2 * w {
+                prop_assert_eq!(ks.statistic(), None, "step {}", step);
+                continue;
+            }
+            let inc = ks.statistic().unwrap();
+            let k = max_count_gap(r, t);
+            prop_assert_eq!(
+                inc.to_bits(),
+                (k as f64 / w as f64).to_bits(),
+                "step {}: {} vs {}/{}", step, inc, k, w
+            );
+            let batch = ks_statistic(r, t).unwrap();
+            prop_assert!((inc - batch).abs() <= f64::EPSILON, "step {}: {} vs {}", step, inc, batch);
+            prop_assert_eq!((batch * w as f64).round() as u64, k, "step {}", step);
         }
     }
 
