@@ -18,6 +18,18 @@ use crate::ks::{validate_finite, KsConfig, KsOutcome};
 /// Index convention: the paper indexes base-vector entries `1..=q` with the
 /// sentinel `C[0] = 0`. This struct follows the same convention; cumulative
 /// arrays have length `q + 1` and index `0` is the sentinel.
+///
+/// A base vector is either *full* ([`build`](Self::build),
+/// [`build_with_reference`](Self::build_with_reference)): one coordinate
+/// per distinct value of `R ∪ T`; or *contracted*
+/// ([`build_with_index`](Self::build_with_index)): of every maximal run of
+/// consecutive reference-only values only the run's first and last
+/// coordinates are kept, so at most `3 q_T + 2` coordinates remain
+/// (`q_T` distinct test values). Every Theorem-1/2/3 verdict, every kept
+/// bound and both KS statistics are the same on either form (see the
+/// monotone-run note in [`crate::bounds`]); [`q`](Self::q) counts the
+/// stored coordinates, [`distinct_count`](Self::distinct_count) the
+/// distinct values of `R ∪ T`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BaseVector {
     /// Distinct sorted values; `values[i - 1]` is the paper's `x_i`.
@@ -38,6 +50,14 @@ pub struct BaseVector {
     /// For each original test index, the (1-based) base-vector index of its
     /// value.
     t_pos: Vec<usize>,
+    /// `spans[i]`: how many full-vector coordinates index `i` stands for
+    /// in Phase 2's backward walk — `1` plus the reference-only values
+    /// dropped between coordinates `i` and `i + 1`. Empty when nothing was
+    /// dropped (every span is then `1`), so full builds never allocate it.
+    spans: Vec<u64>,
+    /// `|set(R ∪ T)|`: equals `values.len()` unless the vector is
+    /// contracted.
+    distinct_count: usize,
     n: usize,
     m: usize,
 }
@@ -92,14 +112,36 @@ impl SortedReference {
     }
 }
 
+/// Rejects an empty or non-finite test sample, the check every base-vector
+/// build runs on `T`.
+pub(crate) fn validate_test(test: &[f64]) -> Result<(), MocheError> {
+    if test.is_empty() {
+        return Err(MocheError::EmptyTest);
+    }
+    validate_finite(SetKind::Test, test)
+}
+
 /// The backing buffers of a [`BaseVector`], moved out for in-place rebuilds
 /// (the [`crate::ref_index`] splice path) and handed back via
 /// [`BaseVector::from_raw_parts`].
+#[derive(Default)]
 pub(crate) struct RecycledBuffers {
     pub(crate) values: Vec<f64>,
     pub(crate) c_r_f64: Vec<f64>,
     pub(crate) c_t_f64: Vec<f64>,
     pub(crate) t_pos: Vec<usize>,
+    pub(crate) spans: Vec<u64>,
+}
+
+impl RecycledBuffers {
+    /// Appends one coordinate: its value, `C_R`, `C_T` and walk span.
+    #[inline]
+    pub(crate) fn push(&mut self, value: f64, c_r: f64, c_t: f64, span: u64) {
+        self.values.push(value);
+        self.c_r_f64.push(c_r);
+        self.c_t_f64.push(c_t);
+        self.spans.push(span);
+    }
 }
 
 impl BaseVector {
@@ -142,10 +184,7 @@ impl BaseVector {
     }
 
     fn merge_sorted(r_sorted: &[f64], test: &[f64]) -> Result<Self, MocheError> {
-        if test.is_empty() {
-            return Err(MocheError::EmptyTest);
-        }
-        validate_finite(SetKind::Test, test)?;
+        validate_test(test)?;
         let mut t_sorted = test.to_vec();
         t_sorted.sort_unstable_by(f64::total_cmp);
 
@@ -190,19 +229,31 @@ impl BaseVector {
             })
             .collect();
 
-        Ok(Self { values, c_r_f64, c_t_f64, t_pos, n: r_sorted.len(), m: test.len() })
+        let distinct_count = values.len();
+        Ok(Self {
+            values,
+            c_r_f64,
+            c_t_f64,
+            t_pos,
+            spans: Vec::new(),
+            distinct_count,
+            n: r_sorted.len(),
+            m: test.len(),
+        })
     }
 
     /// An empty placeholder whose only purpose is buffer recycling: pass it
     /// to [`build_with_index_into`](Self::build_with_index_into) to rebuild
-    /// it in place without reallocating. Every query method reports a
-    /// zero-size instance until then.
+    /// it in place. It allocates nothing and holds no coordinates — not even
+    /// the `C[0]` sentinel — so query it only after a build.
     pub fn empty() -> Self {
         Self {
             values: Vec::new(),
-            c_r_f64: vec![0.0],
-            c_t_f64: vec![0.0],
+            c_r_f64: Vec::new(),
+            c_t_f64: Vec::new(),
             t_pos: Vec::new(),
+            spans: Vec::new(),
+            distinct_count: 0,
             n: 0,
             m: 0,
         }
@@ -213,29 +264,60 @@ impl BaseVector {
     pub(crate) fn take_buffers(&mut self) -> RecycledBuffers {
         self.n = 0;
         self.m = 0;
+        self.distinct_count = 0;
         RecycledBuffers {
             values: std::mem::take(&mut self.values),
             c_r_f64: std::mem::take(&mut self.c_r_f64),
             c_t_f64: std::mem::take(&mut self.c_t_f64),
             t_pos: std::mem::take(&mut self.t_pos),
+            spans: std::mem::take(&mut self.spans),
         }
     }
 
     /// Assembles a base vector from already-built parts (the
     /// [`crate::ref_index`] splice path). The caller guarantees the arrays
-    /// obey this struct's invariants.
-    pub(crate) fn from_raw_parts(buffers: RecycledBuffers, n: usize, m: usize) -> Self {
-        let RecycledBuffers { values, c_r_f64, c_t_f64, t_pos } = buffers;
+    /// obey this struct's invariants; `spans` is emptied when every span is
+    /// `1`, so a contraction that dropped nothing equals the full build.
+    pub(crate) fn from_raw_parts(
+        buffers: RecycledBuffers,
+        distinct_count: usize,
+        n: usize,
+        m: usize,
+    ) -> Self {
+        let RecycledBuffers { values, c_r_f64, c_t_f64, t_pos, mut spans } = buffers;
         debug_assert_eq!(c_r_f64.len(), values.len() + 1);
         debug_assert_eq!(c_t_f64.len(), values.len() + 1);
+        debug_assert_eq!(spans.len(), values.len() + 1);
+        debug_assert_eq!(spans.iter().sum::<u64>(), distinct_count as u64 + 1);
         debug_assert_eq!(t_pos.len(), m);
-        Self { values, c_r_f64, c_t_f64, t_pos, n, m }
+        if distinct_count == values.len() {
+            spans.clear();
+        }
+        Self { values, c_r_f64, c_t_f64, t_pos, spans, distinct_count, n, m }
     }
 
-    /// Number of distinct values `q = |set(R ∪ T)|`.
+    /// Number of stored coordinates `q`: the length of every per-coordinate
+    /// array (the cumulative planes have `q + 1` entries). On a full base
+    /// vector this is `|set(R ∪ T)|`; on a contracted one it is at most
+    /// `3 q_T + 2`.
     #[inline]
     pub fn q(&self) -> usize {
         self.values.len()
+    }
+
+    /// The number of distinct values `|set(R ∪ T)|`, whether or not the
+    /// vector is contracted (the paper's `q`).
+    #[inline]
+    pub fn distinct_count(&self) -> usize {
+        self.distinct_count
+    }
+
+    /// How many full-vector coordinates index `i` (`0 <= i <= q`) stands
+    /// for in Phase 2's backward walk: `1` plus the reference-only values
+    /// dropped between coordinates `i` and `i + 1`.
+    #[inline]
+    pub(crate) fn span(&self, i: usize) -> u64 {
+        self.spans.get(i).map_or(1, |&s| s)
     }
 
     /// Size of the reference set.
@@ -289,7 +371,9 @@ impl BaseVector {
         &self.c_t_f64
     }
 
-    /// Multiplicity of `x_i` in the reference set.
+    /// Multiplicity of `x_i` in the reference set. On a contracted vector
+    /// the last coordinate of a reference-only run also counts the dropped
+    /// values before it.
     #[inline]
     pub fn r_mult(&self, i: usize) -> u64 {
         // Exact: both counts are integers < 2^53, so the f64 difference is
@@ -315,7 +399,7 @@ impl BaseVector {
     pub fn statistic(&self) -> f64 {
         let (n, m) = (self.n as f64, self.m as f64);
         let mut d = 0.0f64;
-        for (&cr, &ct) in self.c_r_f64[1..].iter().zip(&self.c_t_f64[1..]) {
+        for (&cr, &ct) in self.c_r_f64.iter().zip(&self.c_t_f64).skip(1) {
             let diff = (cr / n - ct / m).abs();
             if diff > d {
                 d = diff;

@@ -71,13 +71,15 @@ use std::sync::{Mutex, PoisonError};
 pub enum ReferenceMode {
     /// Re-merge the sorted reference with each window
     /// ([`crate::BaseVector::build_with_reference`]): `O(n + m)` per
-    /// window.
-    #[default]
+    /// window, and every bound probe scans all `n + m` coordinates. Kept as
+    /// the full-vector oracle for [`ReferenceMode::Indexed`].
     Merged,
     /// Splice each window into a precomputed [`ReferenceIndex`]
     /// ([`crate::BaseVector::build_with_index`]): the index is built once
-    /// per call and the per-window merge loop is replaced by chunk copies.
-    /// Results are byte-identical to [`ReferenceMode::Merged`].
+    /// per call and each window becomes a contracted base vector of at
+    /// most `3m + 2` coordinates, so the per-window work no longer grows
+    /// with `n`. Explanations are identical to [`ReferenceMode::Merged`]'s.
+    #[default]
     Indexed,
 }
 
@@ -485,7 +487,10 @@ mod tests {
         let (r, windows) = windows_against(10, 16, 50);
         let shared = SortedReference::new(&r).unwrap();
         for threads in [1, 4] {
-            let merged = BatchExplainer::new(0.05).unwrap().threads(threads);
+            let merged = BatchExplainer::new(0.05)
+                .unwrap()
+                .threads(threads)
+                .reference_mode(ReferenceMode::Merged);
             let indexed = merged.reference_mode(ReferenceMode::Indexed);
             let a = merged.explain_windows(&shared, &windows, None);
             let b = indexed.explain_windows(&shared, &windows, None);

@@ -90,6 +90,41 @@ pub const MAX_WAVEFRONT: usize = 32;
 // `compute_and_exists_qualified_agree` and the `proptest_phase1.rs` suite
 // (signed zeros, duplicates, near-eps boundaries).
 
+// ### Why a contracted base vector gives the same answers
+//
+// `BaseVector::build_with_index` drops the interior of every maximal run
+// `a..=b` of reference-only coordinates (see `crate::ref_index`). Inside
+// such a run `C_T` is a constant `c` (no test value lies there) and `C_R`
+// strictly grows. Every quantity below is computed in IEEE f64 by
+// operations that are monotone in their inputs (`scale * C_R` with
+// `scale >= 0`, subtraction, `± Ω ± ε`, ceil, floor, division by `n`),
+// so on the run:
+//
+// 1. `Γ(i, h) = c - scale·C_R[i]` is non-increasing, hence so are
+//    `⌈Γ - Ω - ε⌉` and `⌊Γ + Ω + ε⌋`.
+// 2. `l_i = max(⌈Γ - Ω - ε⌉, h - m + c, l_{i-1})` is constant from `a` on:
+//    its candidates only shrink after `a`. `u_i = min(⌊Γ + Ω + ε⌋,
+//    0 + u_{i-1}, h)` is a running minimum of a non-increasing sequence,
+//    so `u_b` is the same whether or not the interior was visited, and
+//    `l ≤ u` can first fail only at `b`. Theorem 1's verdict and the kept
+//    `l`/`u` are unchanged, and so is the state handed past `b`.
+// 3. `M(i, h)` is a running maximum of a non-increasing `Γ`, so it is
+//    fixed at `a`; (5b) therefore reads the same at every run coordinate,
+//    and (5a)/(5c) are tightest at `b`. Theorem 2's verdict is unchanged.
+// 4. Phase 2's `ū_{i-1} = min(u_{i-1}, ū_i - d_i)` has `d_i = 0` in the
+//    run and `u` non-increasing, so `ū` is constant on `a..=b` and equal
+//    to `ū_b`; Theorem 3's check `l ≤ ū` reads the same everywhere in the
+//    run. The incremental walk thus never stops strictly inside a run: it
+//    either stops at `b` or passes the whole interior, which
+//    `BaseVector::span` of coordinate `a` counts.
+// 5. `|C_R/n - C_T/m|` (and its after-removal form, whose removed count is
+//    constant on the run) is the absolute value of a monotone sequence, so
+//    its maximum over the run is attained at `a` or `b`: both KS
+//    statistics are the same f64.
+//
+// Pinned by the whole-`Explanation` equality properties of
+// `tests/proptest_indexed.rs` (merged vs contracted, every counter).
+
 /// Per-coordinate lower and upper bounds `l_i^h`, `u_i^h` for the elements of
 /// any qualified `h`-cumulative vector (indices `0..=q`).
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -69,8 +69,8 @@ pub struct ExplainEngine {
     construction: ConstructionStrategy,
     ws: BoundsWorkspace,
     /// Recycled output of the indexed base-vector splice: steady-state
-    /// [`explain_with_index`](Self::explain_with_index) calls rebuild it in
-    /// place instead of reallocating the `O(n + m)` arrays per window.
+    /// [`explain_with_index`](Self::explain_with_index) calls rebuild the
+    /// contracted vector in place instead of reallocating it per window.
     base_scratch: Option<BaseVector>,
     /// Recycled sort buffer for the window side of the indexed splice.
     sort_scratch: Vec<f64>,
@@ -192,9 +192,12 @@ impl ExplainEngine {
     }
 
     /// [`explain`](Self::explain) against a precomputed [`RankSource`]
-    /// (a [`ReferenceIndex`]): the per-window base vector is spliced into the source
-    /// ([`BaseVector::build_with_index`]) instead of re-merging `R ∪ T`.
-    /// This is the amortized path for one `R` against many windows.
+    /// (a [`ReferenceIndex`]): the window is spliced into the source as a
+    /// contracted base vector ([`BaseVector::build_with_index`]) of at most
+    /// `3m + 2` coordinates instead of re-merging `R ∪ T`, so Phase 1 and
+    /// Phase 2 run over the window's coordinates, not `n + m`. The
+    /// explanation equals [`explain`](Self::explain)'s. This is the
+    /// amortized path for one `R` against many windows.
     ///
     /// # Errors
     ///
@@ -350,7 +353,7 @@ impl ExplainEngine {
             outcome_after,
             n: base.n(),
             m: base.m(),
-            q: base.q(),
+            q: base.distinct_count(),
         })
     }
 

@@ -44,9 +44,12 @@ pub struct ConstructStats {
     /// Number of candidates accepted into the explanation (`== k` on
     /// success).
     pub accepted: usize,
-    /// Total number of backward-pass coordinate updates performed. For the
-    /// reference implementation this is about `candidates_checked * q`; the
-    /// incremental version is typically far lower.
+    /// Total number of backward-pass coordinate updates performed, counted
+    /// in full-vector coordinates: a walk over a contracted base vector
+    /// (see [`BaseVector`]) counts each dropped reference-only value it
+    /// passes, so the count is the same on either form. For the reference
+    /// implementation this is `candidates_checked * q` (`q` the number of
+    /// distinct values); the incremental version is typically far lower.
     pub propagation_steps: u64,
 }
 
@@ -108,7 +111,7 @@ pub fn construct_reference(
         debug_assert!(counts.count(j) < base.t_mult(j));
         counts.add(j);
         stats.candidates_checked += 1;
-        stats.propagation_steps += q as u64;
+        stats.propagation_steps += base.distinct_count() as u64;
         if is_partial_explanation(&bounds, &counts) {
             selected.push(orig);
             stats.accepted += 1;
@@ -232,7 +235,10 @@ pub fn construct_into(
         loop {
             // prev is the candidate value for ū_{i-1} before clamping by u.
             let new_val = upper(lu, i - 1).min(prev);
-            stats.propagation_steps += 1;
+            // Inside a dropped run ū and l are constant, so the full walk
+            // passes its interior exactly when it reaches the run's first
+            // coordinate: that coordinate's span counts the interior.
+            stats.propagation_steps += base.span(i - 1);
             if lower(lu, i - 1) > new_val {
                 continue 'candidates; // reject: not a partial explanation
             }

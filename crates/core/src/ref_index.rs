@@ -4,22 +4,27 @@
 //! The drift-monitoring deployment the paper targets (Section 6.1.1) tests
 //! one large reference sample `R` against thousands of small sliding
 //! windows `T`. [`BaseVector::build`] re-merges `R ∪ T` per window —
-//! `O(n + m)` comparisons each time even though `R` never changes.
+//! `O(n + m)` comparisons each time even though `R` never changes — and
+//! every Phase-1 probe and the Phase-2 walk then scan all `n + m`
+//! coordinates although only the `m` test points differ between windows.
 //! A [`ReferenceIndex`] does the reference-side work once: it stores the
 //! distinct reference values together with their cumulative rank counts,
 //! so a per-window build only has to *splice* the window's `O(q_T)`
 //! distinct values into the precomputed structure.
 //!
 //! [`BaseVector::build_with_index`] runs in `O(m log m)` to sort the
-//! window, `O(q_T log q_R)` to locate the splice points, and copies the
-//! untouched reference runs between them with `memcpy`-style chunk copies
-//! instead of a per-element merge loop — the dominant `O(n)` term loses
-//! its branch-per-element constant. The result is **byte-identical** to
-//! [`BaseVector::build`] (enforced by `tests/proptest_indexed.rs`), so
-//! every downstream phase (bounds, Phase 1, Phase 2) is oblivious to which
-//! path built the base vector.
+//! window and `O(q_T log q_R)` to locate the splice points, and emits a
+//! *contracted* base vector: of each maximal run of reference-only values
+//! between two test values it keeps only the run's first and last
+//! coordinates, read straight from the index, so the vector has at most
+//! `3 q_T + 2` coordinates however large `R` is. Inside such a run `C_T`
+//! is constant and `C_R` only grows, so its two ends decide every bound,
+//! verdict and statistic the explain path computes (the monotone-run note
+//! in [`crate::bounds`]): explanations, sizes and every Phase-1/Phase-2
+//! counter are identical to the merged build's (enforced by
+//! `tests/proptest_indexed.rs`).
 
-use crate::base_vector::{BaseVector, SortedReference};
+use crate::base_vector::{validate_test, BaseVector, RecycledBuffers, SortedReference};
 use crate::error::{MocheError, SetKind};
 use crate::ks::validate_finite;
 
@@ -36,9 +41,8 @@ mod sealed {
 ///
 /// [`ReferenceIndex`] (built by sorting) is the one implementation; the
 /// splice is generic over the trait so the layout stays an implementation
-/// detail. The trait is sealed: an implementation must be byte-identical
-/// to `ReferenceIndex::new` on the same multiset, the contract
-/// `tests/proptest_indexed.rs` pins for the splice.
+/// detail. The trait is sealed: an implementation must hold exactly what
+/// `ReferenceIndex::new` holds on the same multiset.
 pub trait RankSource: sealed::Sealed {
     /// Total reference size `n` (with multiplicities).
     fn n(&self) -> usize;
@@ -85,18 +89,27 @@ impl RankSource for ReferenceIndex {
 /// assert_eq!(index.n(), 8);
 /// assert_eq!(index.q_r(), 2); // distinct values 14 and 20
 ///
+/// // No reference-only run here is longer than one value, so nothing is
+/// // dropped and the splice equals the merged build.
 /// let test = vec![13.0, 13.0, 12.0, 20.0];
 /// let indexed = BaseVector::build_with_index(&index, &test).unwrap();
-/// let merged = BaseVector::build(&reference, &test).unwrap();
-/// assert_eq!(indexed, merged);
+/// assert_eq!(indexed, BaseVector::build(&reference, &test).unwrap());
+///
+/// // A run of reference-only values keeps its two ends: of 1..=9 only 1
+/// // and 9 remain between the test values 0 and 10.
+/// let wide = ReferenceIndex::new(&(1..=9).map(f64::from).collect::<Vec<_>>()).unwrap();
+/// let contracted = BaseVector::build_with_index(&wide, &[0.0, 10.0]).unwrap();
+/// assert_eq!(contracted.values(), &[0.0, 1.0, 9.0, 10.0]);
+/// assert_eq!(contracted.distinct_count(), 11); // all of R ∪ T
+/// assert_eq!(contracted.statistic(), 0.5);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReferenceIndex {
     /// Distinct reference values, ascending.
     distinct: Vec<f64>,
     /// `cum_f64[j] = |{x in R : x <= distinct[j - 1]}|` (`cum_f64[0] = 0`),
-    /// stored as `f64` so the splice can fill the [`BaseVector`] f64 plane
-    /// with chunk copies instead of per-element conversions. Lossless:
+    /// stored as `f64` so the splice reads the [`BaseVector`] f64 plane
+    /// entries directly instead of converting them per window. Lossless:
     /// counts are integers `< 2^53`, and the integer consumers
     /// ([`rank`](Self::rank)) recover the exact `u64` with a cast — same
     /// argument as the `BaseVector` planes.
@@ -225,7 +238,7 @@ impl ReferenceIndex {
     }
 
     /// The cumulative counts as `f64` (see the field docs) — what the
-    /// splice copies into the [`BaseVector`] `C_R` plane.
+    /// splice reads into the [`BaseVector`] `C_R` plane.
     #[inline]
     pub(crate) fn cum_f64(&self) -> &[f64] {
         &self.cum_f64
@@ -233,13 +246,19 @@ impl ReferenceIndex {
 }
 
 impl BaseVector {
-    /// Builds the base vector against a precomputed [`RankSource`]
-    /// (canonically a [`ReferenceIndex`]), splicing the window's distinct
-    /// values into the source instead of re-merging `R ∪ T`.
+    /// Builds the *contracted* base vector against a precomputed
+    /// [`RankSource`] (canonically a [`ReferenceIndex`]): every coordinate
+    /// holding a test value is kept, and of each maximal run of
+    /// reference-only values only the run's first and last coordinates, so
+    /// the result has at most `3 q_T + 2` coordinates (`q_T` distinct test
+    /// values) however large `R` is.
     ///
-    /// `O(m log m + q_T log q_R)` plus chunk copies of the reference runs;
-    /// the result is byte-identical to [`BaseVector::build`] on the same
-    /// inputs.
+    /// `O(m log m + q_T log q_R)`. Every kept coordinate carries the same
+    /// value and counts as in [`BaseVector::build`], and
+    /// [`distinct_count`](Self::distinct_count) is the full build's `q`;
+    /// the dropped interior coordinates cannot change any verdict, bound or
+    /// statistic the explain path reads (the monotone-run note in
+    /// [`crate::bounds`]).
     ///
     /// # Errors
     ///
@@ -249,16 +268,13 @@ impl BaseVector {
         index: &S,
         test: &[f64],
     ) -> Result<Self, MocheError> {
-        let mut out = Self::empty();
-        Self::build_with_index_into(index, test, &mut out)?;
-        Ok(out)
+        validate_test(test)?;
+        Ok(Self::splice(index, test, RecycledBuffers::default(), &mut Vec::new()))
     }
 
     /// [`build_with_index`](Self::build_with_index), rebuilding `out` in
-    /// place. The splice writes into `out`'s existing buffers, so a caller
-    /// looping over windows of similar size pays the page-fault cost of the
-    /// `O(n + m)` output arrays once instead of per window — on large
-    /// references that allocation dominates the construction itself.
+    /// place: the splice writes into `out`'s existing buffers, so a caller
+    /// looping over windows of similar size allocates them once.
     /// Start from [`BaseVector::empty`] (or any previous build).
     ///
     /// # Errors
@@ -291,32 +307,57 @@ impl BaseVector {
         out: &mut Self,
         sort_scratch: &mut Vec<f64>,
     ) -> Result<(), MocheError> {
-        if test.is_empty() {
-            return Err(MocheError::EmptyTest);
-        }
-        validate_finite(SetKind::Test, test)?;
-        let mut buffers = out.take_buffers();
-        let values = &mut buffers.values;
-        let c_r_f64 = &mut buffers.c_r_f64;
-        let c_t_f64 = &mut buffers.c_t_f64;
-        let t_pos = &mut buffers.t_pos;
-        values.clear();
-        c_r_f64.clear();
-        c_t_f64.clear();
-        t_pos.clear();
+        validate_test(test)?;
+        let buffers = out.take_buffers();
+        *out = Self::splice(index, test, buffers, sort_scratch);
+        Ok(())
+    }
+
+    /// The contracted splice over a validated window, into `buffers`.
+    fn splice<S: RankSource + ?Sized>(
+        index: &S,
+        test: &[f64],
+        mut buffers: RecycledBuffers,
+        sort_scratch: &mut Vec<f64>,
+    ) -> Self {
         sort_scratch.clear();
         sort_scratch.extend_from_slice(test);
         sort_scratch.sort_unstable_by(f64::total_cmp);
         let t_sorted: &[f64] = sort_scratch;
-
         let distinct = index.distinct();
         let cum_f64 = index.cum_f64();
-        values.reserve(distinct.len() + test.len());
-        c_r_f64.reserve(distinct.len() + test.len() + 1);
-        c_t_f64.reserve(distinct.len() + test.len() + 1);
-        c_r_f64.push(0.0f64);
-        c_t_f64.push(0.0f64);
 
+        // At most 3 q_T + 2 <= 3m + 2 coordinates, and never more than the
+        // full q <= q_R + m.
+        let cap = (3 * test.len() + 2).min(distinct.len() + test.len());
+        let b = &mut buffers;
+        b.values.clear();
+        b.c_r_f64.clear();
+        b.c_t_f64.clear();
+        b.spans.clear();
+        b.t_pos.clear();
+        b.values.reserve(cap);
+        b.c_r_f64.reserve(cap + 1);
+        b.c_t_f64.reserve(cap + 1);
+        b.spans.reserve(cap + 1);
+        b.t_pos.reserve(test.len());
+        b.c_r_f64.push(0.0f64);
+        b.c_t_f64.push(0.0f64);
+        b.spans.push(1);
+
+        // The reference-only run `distinct[lo..hi]`, where C_T is `c_t`:
+        // keep its first and last coordinates, the first spanning the
+        // dropped interior.
+        let push_run = |b: &mut RecycledBuffers, lo: usize, hi: usize, c_t: f64| {
+            if hi > lo {
+                b.push(distinct[lo], cum_f64[lo + 1], c_t, (hi - lo - 1).max(1) as u64);
+            }
+            if hi > lo + 1 {
+                b.push(distinct[hi - 1], cum_f64[hi], c_t, 1);
+            }
+        };
+
+        let mut distinct_count = distinct.len();
         let mut rpos = 0usize; // next reference-distinct index to emit
         let mut consumed_t = 0u64;
         let mut gi = 0usize;
@@ -329,47 +370,34 @@ impl BaseVector {
                 ge += 1;
             }
 
-            // Copy the run of reference values strictly below tv as one
-            // chunk: values and the C_R plane are memcpys of the
-            // precomputed arrays, the C_T plane is a constant fill.
             let splice = rpos + distinct[rpos..].partition_point(|&u| u < tv);
-            if splice > rpos {
-                values.extend_from_slice(&distinct[rpos..splice]);
-                c_r_f64.extend_from_slice(&cum_f64[rpos + 1..splice + 1]);
-                c_t_f64.resize(c_t_f64.len() + (splice - rpos), consumed_t as f64);
-                rpos = splice;
-            }
+            push_run(b, rpos, splice, consumed_t as f64);
+            rpos = splice;
 
             consumed_t += (ge - gi) as u64;
-            if rpos < distinct.len() && distinct[rpos] == tv {
+            let value = if rpos < distinct.len() && distinct[rpos] == tv {
                 // Shared value: same min-of-heads selection as the merge
                 // (only observable for signed zeros).
-                values.push(distinct[rpos].min(tv));
+                let shared = distinct[rpos].min(tv);
                 rpos += 1;
+                shared
             } else {
-                values.push(tv);
-            }
-            c_r_f64.push(cum_f64[rpos]);
-            c_t_f64.push(consumed_t as f64);
+                distinct_count += 1;
+                tv
+            };
+            b.push(value, cum_f64[rpos], consumed_t as f64, 1);
             gi = ge;
         }
+        push_run(b, rpos, distinct.len(), consumed_t as f64);
 
-        // Tail: every remaining reference value, in one chunk.
-        if rpos < distinct.len() {
-            let run = distinct.len() - rpos;
-            values.extend_from_slice(&distinct[rpos..]);
-            c_r_f64.extend_from_slice(&cum_f64[rpos + 1..]);
-            c_t_f64.resize(c_t_f64.len() + run, consumed_t as f64);
-        }
-
-        t_pos.extend(test.iter().map(|&v| {
+        let values = &b.values;
+        b.t_pos.extend(test.iter().map(|&v| {
             let lt = values.partition_point(|&u| u < v);
             debug_assert!(values[lt] == v);
             lt + 1
         }));
 
-        *out = Self::from_raw_parts(buffers, index.n(), test.len());
-        Ok(())
+        Self::from_raw_parts(buffers, distinct_count, index.n(), test.len())
     }
 }
 
@@ -405,17 +433,59 @@ mod tests {
         assert_eq!(ReferenceIndex::from_vec(Vec::new()).unwrap_err(), MocheError::EmptyReference);
     }
 
-    #[test]
-    fn indexed_build_matches_merged_on_the_paper_example() {
-        let (r, t) = paper_example();
-        let index = ReferenceIndex::new(&r).unwrap();
-        let merged = BaseVector::build(&r, &t).unwrap();
-        let indexed = BaseVector::build_with_index(&index, &t).unwrap();
-        assert_eq!(indexed, merged);
+    /// The merged vector minus the interior of every reference-only run,
+    /// with the spans of the dropped values: what the splice must emit.
+    fn contract(full: &BaseVector) -> BaseVector {
+        let q = full.q();
+        let ref_only = |i: usize| (1..=q).contains(&i) && full.t_mult(i) == 0;
+        let keep: Vec<usize> =
+            (1..=q).filter(|&i| !(ref_only(i - 1) && ref_only(i) && ref_only(i + 1))).collect();
+        let mut b = RecycledBuffers::default();
+        b.c_r_f64.push(0.0);
+        b.c_t_f64.push(0.0);
+        // spans[j] = full position of kept coordinate j + 1 minus that of j.
+        let next = |j: usize| keep.get(j).map_or(q + 1, |&i| i);
+        b.spans.push(next(0) as u64);
+        for (j, &i) in keep.iter().enumerate() {
+            b.push(
+                full.value(i),
+                full.c_r_plane()[i],
+                full.c_t_plane()[i],
+                (next(j + 1) - i) as u64,
+            );
+        }
+        b.t_pos.extend(
+            (0..full.m()).map(|t| keep.binary_search(&full.test_point_index(t)).unwrap() + 1),
+        );
+        BaseVector::from_raw_parts(b, q, full.n(), full.m())
+    }
+
+    /// `indexed` is the contraction of the merged build, bit for bit, and
+    /// within the `3 q_T + 2` bound.
+    fn assert_contracts(indexed: &BaseVector, r: &[f64], t: &[f64]) {
+        let merged = BaseVector::build(r, t).unwrap();
+        let expected = contract(&merged);
+        assert_eq!(indexed, &expected, "test window {t:?}");
+        let bits = |b: &BaseVector| b.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(indexed), bits(&expected), "bitwise value mismatch for {t:?}");
+        let q_t = (1..=merged.q()).filter(|&i| merged.t_mult(i) > 0).count();
+        assert!(indexed.q() <= 3 * q_t + 2, "{} coordinates for q_T = {q_t}", indexed.q());
+        assert_eq!(indexed.distinct_count(), merged.q());
     }
 
     #[test]
-    fn indexed_build_matches_merged_on_overlap_patterns() {
+    fn indexed_build_contracts_merged_on_the_paper_example() {
+        let (r, t) = paper_example();
+        let index = ReferenceIndex::new(&r).unwrap();
+        let indexed = BaseVector::build_with_index(&index, &t).unwrap();
+        assert_contracts(&indexed, &r, &t);
+        // Nothing to drop here (the only reference-only run is `14`), so
+        // the contraction is the merged build itself.
+        assert_eq!(indexed, BaseVector::build(&r, &t).unwrap());
+    }
+
+    #[test]
+    fn indexed_build_contracts_merged_on_overlap_patterns() {
         // Every interleaving shape: test below, inside, between, equal to
         // and above the reference values, with duplicates everywhere.
         let r = vec![1.0, 1.0, 3.0, 5.0, 5.0, 5.0, 9.0];
@@ -431,36 +501,43 @@ mod tests {
             vec![-2.5],                     // single outside point
         ];
         for t in tests {
-            let merged = BaseVector::build(&r, &t).unwrap();
             let indexed = BaseVector::build_with_index(&index, &t).unwrap();
-            assert_eq!(indexed, merged, "test window {t:?}");
+            assert_contracts(&indexed, &r, &t);
         }
     }
 
     #[test]
-    fn indexed_build_matches_merged_with_signed_zeros() {
-        let r = vec![-0.0, 0.0, 1.0];
+    fn indexed_build_contracts_merged_with_signed_zeros() {
+        let r = vec![-0.0, 0.0, 1.0, 2.0, 3.0];
         let index = ReferenceIndex::new(&r).unwrap();
-        for t in [vec![0.0, 2.0], vec![-0.0, 2.0], vec![-0.0, 0.0]] {
-            let merged = BaseVector::build(&r, &t).unwrap();
+        for t in [vec![0.0, 4.0], vec![-0.0, 4.0], vec![-0.0, 0.0], vec![-1.0, -0.0]] {
             let indexed = BaseVector::build_with_index(&index, &t).unwrap();
-            assert_eq!(indexed, merged, "test window {t:?}");
-            assert_eq!(
-                indexed.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                merged.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "bitwise value mismatch for {t:?}"
-            );
+            assert_contracts(&indexed, &r, &t);
         }
     }
 
     #[test]
-    fn rebuild_in_place_recycles_buffers_and_matches() {
+    fn contracted_runs_keep_their_ends_and_span_the_interior() {
+        // One reference-only run of ten values between two test values.
+        let r: Vec<f64> = (1..=10).map(f64::from).collect();
+        let index = ReferenceIndex::new(&r).unwrap();
+        let b = BaseVector::build_with_index(&index, &[0.0, 11.0]).unwrap();
+        assert_eq!(b.values(), &[0.0, 1.0, 10.0, 11.0]);
+        assert_eq!(b.c_r_plane(), &[0.0, 0.0, 1.0, 10.0, 10.0]);
+        assert_eq!(b.c_t_plane(), &[0.0, 1.0, 1.0, 1.0, 2.0]);
+        assert_eq!((0..=b.q()).map(|i| b.span(i)).collect::<Vec<_>>(), vec![1, 1, 9, 1, 1]);
+        assert_eq!((b.q(), b.distinct_count()), (4, 12));
+        assert_eq!(b.statistic(), BaseVector::build(&r, &[0.0, 11.0]).unwrap().statistic());
+    }
+
+    #[test]
+    fn rebuild_in_place_recycles_buffers_and_contracts() {
         let r = vec![1.0, 1.0, 3.0, 5.0, 5.0, 5.0, 9.0];
         let index = ReferenceIndex::new(&r).unwrap();
         let mut out = BaseVector::empty();
-        for t in [vec![2.0, 4.0], vec![0.0, 5.0, 12.0], vec![9.0, 9.0, 9.0]] {
+        for t in [vec![2.0, 4.0], vec![0.0, 5.0, 12.0], vec![9.0, 9.0, 9.0], vec![0.0]] {
             BaseVector::build_with_index_into(&index, &t, &mut out).unwrap();
-            assert_eq!(out, BaseVector::build(&r, &t).unwrap(), "test window {t:?}");
+            assert_contracts(&out, &r, &t);
         }
         // Validation errors leave the previous contents untouched.
         let before = out.clone();

@@ -8,7 +8,7 @@
 //!
 //! The counter is process-global and libtest runs sibling test threads
 //! concurrently (whose harness activity would pollute a measurement
-//! window), so this binary contains exactly ONE #[test]: the three gates
+//! window), so this binary contains exactly ONE #[test]: the four gates
 //! run as sequential phases inside it.
 
 use moche_core::{
@@ -77,6 +77,7 @@ fn cycling_source(windows: &[Vec<f64>], count: usize) -> impl WindowSource + Sen
 #[test]
 fn zero_allocation_gates_run_sequentially() {
     warm_indexed_arena_explain_allocates_nothing();
+    warm_indexed_size_allocates_nothing();
     scored_stream_allocates_nothing_when_warm();
     identity_stream_allocates_nothing_when_warm_single_core();
 }
@@ -112,6 +113,22 @@ fn warm_indexed_arena_explain_allocates_nothing() {
         }
     }
     assert_eq!(allocated, 0, "warm explain_with_index_in must not allocate");
+}
+
+fn warm_indexed_size_allocates_nothing() {
+    let (reference, windows) = failing_setup();
+    let index = ReferenceIndex::new(&reference).unwrap();
+    let mut engine = ExplainEngine::new(0.05).unwrap();
+    for w in &windows {
+        engine.size_with_index(&index, w).unwrap();
+    }
+    let before = allocations();
+    for _ in 0..3 {
+        for w in &windows {
+            engine.size_with_index(&index, w).unwrap();
+        }
+    }
+    assert_eq!(allocations() - before, 0, "warm size_with_index must not allocate");
 }
 
 fn scored_stream_allocates_nothing_when_warm() {

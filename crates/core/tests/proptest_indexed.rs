@@ -1,7 +1,9 @@
 //! Equivalence properties for the indexed-reference paths: on random
-//! instances, base vectors spliced into a [`ReferenceIndex`], the Phase-1
-//! size `k`, the final explanations, and the streaming engine's output
-//! must all be byte-identical to the merged [`BaseVector::build`] path.
+//! instances, base vectors spliced into a [`ReferenceIndex`] must be the
+//! merged [`BaseVector::build`] minus the interior of every reference-only
+//! run, and the Phase-1 size `k`, the final explanations (every counter
+//! included) and the streaming engine's output must all be identical to
+//! the merged path's.
 
 use moche_core::base_vector::BaseVector;
 use moche_core::batch::{BatchExplainer, ReferenceMode};
@@ -35,6 +37,80 @@ fn instance() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
         })
 }
 
+/// The paper's shape in miniature: a large reference with many distinct
+/// values (long reference-only runs between the window's values) and a
+/// small window shifted up. Window values are drawn from four pools: the
+/// shifted grid, reference values themselves (shared coordinates that end
+/// or start a run), reference values nudged by a quarter step (a run split
+/// one value from its end), and signed zeros, which the reference carries
+/// too.
+fn wide_instance() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
+    (
+        proptest::collection::vec(-400i32..400, 150..400),
+        proptest::collection::vec((0u8..4, 0usize..1000, -40i32..400), 6..40),
+        0i32..3,
+    )
+        .prop_map(|(r, picks, zeros)| {
+            let mut r: Vec<f64> = r.into_iter().map(|v| f64::from(v) * 0.5).collect();
+            for z in 0..zeros {
+                r.push(if z % 2 == 0 { -0.0 } else { 0.0 });
+            }
+            let t = picks
+                .into_iter()
+                .map(|(pool, at, grid)| match pool {
+                    0 => f64::from(grid) * 0.5 + 60.0,
+                    1 => r[at % r.len()],
+                    2 => r[at % r.len()] + 0.25,
+                    _ => [-0.0, 0.0][at % 2],
+                })
+                .collect();
+            (r, t)
+        })
+}
+
+/// What the splice must emit, read through the merged build's public
+/// view: `(value bits, C_R, C_T)` of every coordinate not strictly inside
+/// a run of reference-only values, and each test point's position among
+/// them.
+fn expected_contraction(full: &BaseVector) -> (Vec<(u64, f64, f64)>, Vec<usize>) {
+    let q = full.q();
+    let ref_only = |i: usize| (1..=q).contains(&i) && full.t_mult(i) == 0;
+    let keep: Vec<usize> =
+        (1..=q).filter(|&i| !(ref_only(i - 1) && ref_only(i) && ref_only(i + 1))).collect();
+    let coords =
+        keep.iter().map(|&i| (full.value(i).to_bits(), full.c_r_plane()[i], full.c_t_plane()[i]));
+    let t_pos = (0..full.m())
+        .map(|t| keep.binary_search(&full.test_point_index(t)).expect("test values are kept") + 1);
+    (coords.collect(), t_pos.collect())
+}
+
+fn observed_contraction(b: &BaseVector) -> (Vec<(u64, f64, f64)>, Vec<usize>) {
+    let coords = (1..=b.q()).map(|i| (b.value(i).to_bits(), b.c_r_plane()[i], b.c_t_plane()[i]));
+    (coords.collect(), (0..b.m()).map(|t| b.test_point_index(t)).collect())
+}
+
+/// The splice against the merged build: the same coordinates minus run
+/// interiors, at most `3 q_T + 2` of them, the same `n`, `m` and
+/// distinct count, and rank queries that agree with the merged `C_R`.
+fn check_contraction(r: &[f64], t: &[f64]) -> Result<(), TestCaseError> {
+    let index = ReferenceIndex::new(r).unwrap();
+    let merged = BaseVector::build(r, t).unwrap();
+    let indexed = BaseVector::build_with_index(&index, t).unwrap();
+    prop_assert_eq!(observed_contraction(&indexed), expected_contraction(&merged));
+    let q_t = (1..=merged.q()).filter(|&i| merged.t_mult(i) > 0).count();
+    prop_assert!(indexed.q() <= 3 * q_t + 2, "{} coordinates, q_T = {}", indexed.q(), q_t);
+    prop_assert_eq!(
+        (indexed.n(), indexed.m(), indexed.distinct_count()),
+        (merged.n(), merged.m(), merged.q())
+    );
+    prop_assert_eq!(indexed.c_r_plane()[0], 0.0);
+    prop_assert_eq!(indexed.c_t_plane()[0], 0.0);
+    for (i, &v) in merged.values().iter().enumerate() {
+        prop_assert_eq!(index.rank(v), merged.c_r(i + 1));
+    }
+    Ok(())
+}
+
 fn alphas() -> impl Strategy<Value = f64> {
     prop_oneof![Just(0.05), Just(0.1), Just(0.2), Just(0.25)]
 }
@@ -46,22 +122,59 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    // The tentpole invariant: `build_with_index` is byte-identical to the
-    // merged `build` on any valid input (no KS-failure assumption needed —
-    // this is pure construction).
+    // The splice invariant: `build_with_index` is the merged `build`
+    // minus the interior of every reference-only run, on any valid input
+    // (no KS-failure assumption needed — this is pure construction).
     #[test]
-    fn indexed_base_vector_is_byte_identical((r, t) in instance()) {
+    fn indexed_base_vector_contracts_merged((r, t) in instance()) {
+        check_contraction(&r, &t)?;
+    }
+
+    #[test]
+    fn indexed_base_vector_contracts_merged_on_wide_references((r, t) in wide_instance()) {
+        check_contraction(&r, &t)?;
+    }
+
+    // The whole `Explanation` — indices, value bits, both KS outcomes,
+    // Phase-1 and Phase-2 counters, `n`, `m`, `q` — is the same through the
+    // contracted vector as through the merged full vector, for both
+    // construction strategies and the arena path; so is the size-only
+    // answer.
+    #[test]
+    fn indexed_explanation_equals_merged_explanation(
+        (r, t) in wide_instance(),
+        alpha in alphas(),
+        seed in 0u64..1000,
+    ) {
+        let cfg = KsConfig::new(alpha).unwrap();
+        let base = BaseVector::build(&r, &t).unwrap();
+        prop_assume!(base.outcome(&cfg).rejected);
+
         let index = ReferenceIndex::new(&r).unwrap();
-        let merged = BaseVector::build(&r, &t).unwrap();
-        let indexed = BaseVector::build_with_index(&index, &t).unwrap();
-        prop_assert_eq!(&indexed, &merged);
-        // PartialEq on f64 treats -0.0 == 0.0; pin the raw bits too.
-        let bits = |b: &BaseVector| b.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        prop_assert_eq!(bits(&indexed), bits(&merged));
-        // And the index's rank query agrees with the cumulative counts.
-        for (i, &v) in merged.values().iter().enumerate() {
-            prop_assert_eq!(index.rank(v), merged.c_r(i + 1));
+        let pref = PreferenceList::random(t.len(), seed);
+        let bits = |vs: &[f64]| vs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for strategy in [ConstructionStrategy::Incremental, ConstructionStrategy::Reference] {
+            let mut engine = ExplainEngine::new(alpha).unwrap().construction(strategy);
+            let merged = engine.explain(&r, &t, &pref).unwrap();
+            let indexed = engine.explain_with_index(&index, &t, &pref).unwrap();
+            let mut arena = ExplanationArena::new();
+            let in_arena = engine.explain_with_index_in(&index, &t, &pref, &mut arena).unwrap();
+            for got in [&indexed, &in_arena] {
+                prop_assert_eq!(got, &merged, "{:?}", strategy);
+                prop_assert_eq!(bits(got.values()), bits(merged.values()));
+                prop_assert_eq!(
+                    got.outcome_before.statistic.to_bits(),
+                    merged.outcome_before.statistic.to_bits()
+                );
+                prop_assert_eq!(
+                    got.outcome_after.statistic.to_bits(),
+                    merged.outcome_after.statistic.to_bits()
+                );
+            }
         }
+
+        let size = ExplainEngine::new(alpha).unwrap().size_with_index(&index, &t).unwrap();
+        prop_assert_eq!(size, Moche::new(alpha).unwrap().explanation_size(&r, &t).unwrap());
     }
 
     // Phase-1 `k` (and `k_hat`) computed through the index equals the

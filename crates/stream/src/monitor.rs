@@ -673,7 +673,8 @@ impl DriftMonitor {
     ///
     /// The windows are read straight from the ring; the reference window
     /// is sorted once into the index (`O(w log w)`), the base-vector
-    /// splice is `O(m log w)` plus chunk copies, and every buffer — index,
+    /// splice is `O(m log w)` into a contracted vector of at most
+    /// `min(2w, 3 q_T + 2)` coordinates, and every buffer — index,
     /// sort buffer, FFT planes, preference, bounds workspace, and (after
     /// [`recycle`](Self::recycle)) the output itself — is recycled scratch
     /// refilled in place: a warm alarm performs **zero** heap allocations.
